@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Cover is a sum of product terms over a fixed number of variables.
 type Cover struct {
@@ -50,15 +47,6 @@ func (f *Cover) String() string {
 	return strings.Join(lines, "\n")
 }
 
-// Clone deep-copies the cover.
-func (f *Cover) Clone() *Cover {
-	g := &Cover{NumVars: f.NumVars, Cubes: make([]Cube, len(f.Cubes))}
-	for i, c := range f.Cubes {
-		g.Cubes[i] = c.Clone()
-	}
-	return g
-}
-
 // Add appends a cube to the cover.
 func (f *Cover) Add(c Cube) { f.Cubes = append(f.Cubes, c) }
 
@@ -74,7 +62,9 @@ func (f *Cover) Literals() int {
 	return n
 }
 
-// Eval evaluates the cover on a complete assignment bit vector.
+// Eval evaluates the cover on a complete assignment bit vector (bit i
+// = variable i). Like EvalBits it panics on cubes of more than 64
+// variables, which a uint64 cannot assign.
 func (f *Cover) Eval(assign uint64) bool {
 	for _, c := range f.Cubes {
 		if c.EvalBits(assign) {
@@ -87,283 +77,17 @@ func (f *Cover) Eval(assign uint64) bool {
 // Covers reports whether the cover contains cube d entirely, i.e. the
 // cofactor of the cover with respect to d is a tautology.
 func (f *Cover) Covers(d Cube) bool {
-	return f.CofactorCube(d).Tautology()
+	k := newKernel(f.NumVars)
+	return k.covered(k.pack(nil, []Cube{d}), k.pack(nil, f.Cubes), -1, nil, nil)
 }
 
-// ContainsCoverOf reports whether every cube of g is covered by f.
-func (f *Cover) ContainsCoverOf(g *Cover) bool {
-	for _, c := range g.Cubes {
-		if !f.Covers(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// Cofactor returns the cover's cofactor with respect to variable i at
-// value v (the Shannon cofactor).
-func (f *Cover) Cofactor(i int, v Value) *Cover {
-	out := NewCover(f.NumVars)
-	for _, c := range f.Cubes {
-		if cf, ok := c.Cofactor(i, v); ok {
-			out.Cubes = append(out.Cubes, cf)
-		}
-	}
-	return out
-}
-
-// CofactorCube returns the generalized cofactor of the cover with
-// respect to cube d.
-func (f *Cover) CofactorCube(d Cube) *Cover {
-	out := NewCover(f.NumVars)
-	for _, c := range f.Cubes {
-		if c.Distance(d) > 0 {
-			continue
-		}
-		cf := c.Clone()
-		for i, v := range d {
-			if v != Dash {
-				cf[i] = Dash
-			}
-		}
-		out.Cubes = append(out.Cubes, cf)
-	}
-	return out
-}
-
-// Or returns the union of two covers over the same variable set.
-func (f *Cover) Or(g *Cover) *Cover {
-	out := &Cover{NumVars: f.NumVars}
-	out.Cubes = append(out.Cubes, f.Cubes...)
-	out.Cubes = append(out.Cubes, g.Cubes...)
-	return out
-}
-
-// And returns the product of two covers (pairwise cube intersection).
-func (f *Cover) And(g *Cover) *Cover {
-	out := NewCover(f.NumVars)
-	for _, a := range f.Cubes {
-		for _, b := range g.Cubes {
-			if p, ok := a.Intersect(b); ok {
-				out.Cubes = append(out.Cubes, p)
-			}
-		}
-	}
-	out.SingleCubeContain()
-	return out
-}
+// Tautology reports whether the cover is the constant-1 function.
+func (f *Cover) Tautology() bool { return f.Covers(NewCube(f.NumVars)) }
 
 // SingleCubeContain removes cubes contained in another single cube of
-// the cover (cheap redundancy removal).
+// the cover (cheap redundancy removal) and orders the rest widest
+// first.
 func (f *Cover) SingleCubeContain() {
-	// Wider cubes first so the quadratic scan removes contained cubes
-	// in one pass.
-	sort.SliceStable(f.Cubes, func(i, j int) bool {
-		return f.Cubes[i].Literals() < f.Cubes[j].Literals()
-	})
-	kept := f.Cubes[:0]
-	for i, c := range f.Cubes {
-		contained := false
-		for j := 0; j < len(kept); j++ {
-			if kept[j].Contains(c) {
-				contained = true
-				break
-			}
-		}
-		if !contained {
-			kept = append(kept, f.Cubes[i])
-		}
-	}
-	f.Cubes = kept
-}
-
-// binateSelect picks the most binate variable of the cover: the one
-// appearing in both phases most often; ties break toward the variable
-// with the most total literal occurrences. Returns -1 when the cover is
-// unate in every variable.
-func (f *Cover) binateSelect() int {
-	n := f.NumVars
-	pos := make([]int, n)
-	neg := make([]int, n)
-	for _, c := range f.Cubes {
-		for i, v := range c {
-			switch v {
-			case One:
-				pos[i]++
-			case Zero:
-				neg[i]++
-			}
-		}
-	}
-	best, bestScore := -1, -1
-	for i := 0; i < n; i++ {
-		if pos[i] == 0 || neg[i] == 0 {
-			continue
-		}
-		score := min(pos[i], neg[i])*1000 + pos[i] + neg[i]
-		if score > bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}
-
-// mostFrequentVar returns the variable with the most literal
-// occurrences, or -1 if the cover has no literals.
-func (f *Cover) mostFrequentVar() int {
-	counts := make([]int, f.NumVars)
-	for _, c := range f.Cubes {
-		for i, v := range c {
-			if v != Dash {
-				counts[i]++
-			}
-		}
-	}
-	best, bestN := -1, 0
-	for i, n := range counts {
-		if n > bestN {
-			best, bestN = i, n
-		}
-	}
-	return best
-}
-
-// Tautology reports whether the cover is the constant-1 function, using
-// unate reduction plus Shannon expansion on the most binate variable.
-func (f *Cover) Tautology() bool {
-	for _, c := range f.Cubes {
-		if c.IsUniverse() {
-			return true
-		}
-	}
-	if len(f.Cubes) == 0 {
-		return false
-	}
-	b := f.binateSelect()
-	if b < 0 {
-		// Unate cover: tautology iff some cube is the universe, which
-		// was already checked above.
-		return false
-	}
-	return f.Cofactor(b, Zero).Tautology() && f.Cofactor(b, One).Tautology()
-}
-
-// Complement returns a cover of the complement function, via recursive
-// Shannon expansion.
-func (f *Cover) Complement() *Cover {
-	return complementRec(f)
-}
-
-func complementRec(f *Cover) *Cover {
-	if len(f.Cubes) == 0 {
-		return Universe(f.NumVars)
-	}
-	for _, c := range f.Cubes {
-		if c.IsUniverse() {
-			return NewCover(f.NumVars)
-		}
-	}
-	if len(f.Cubes) == 1 {
-		return complementCube(f.NumVars, f.Cubes[0])
-	}
-	v := f.binateSelect()
-	if v < 0 {
-		v = f.mostFrequentVar()
-	}
-	c0 := complementRec(f.Cofactor(v, Zero))
-	c1 := complementRec(f.Cofactor(v, One))
-	out := NewCover(f.NumVars)
-	for _, c := range c0.Cubes {
-		d := c.Clone()
-		if d[v] == Dash {
-			d[v] = Zero
-		}
-		out.Cubes = append(out.Cubes, d)
-	}
-	for _, c := range c1.Cubes {
-		d := c.Clone()
-		if d[v] == Dash {
-			d[v] = One
-		}
-		out.Cubes = append(out.Cubes, d)
-	}
-	out.SingleCubeContain()
-	return out
-}
-
-// complementCube is De Morgan on a single product term.
-func complementCube(n int, c Cube) *Cover {
-	out := NewCover(n)
-	for i, v := range c {
-		if v == Dash {
-			continue
-		}
-		d := NewCube(n)
-		if v == One {
-			d[i] = Zero
-		} else {
-			d[i] = One
-		}
-		out.Cubes = append(out.Cubes, d)
-	}
-	return out
-}
-
-// CountMinterms returns the exact number of minterms of the cover
-// (inclusion-free via disjoint sharp of successive cubes). Suitable for
-// the variable counts used in this project (≤ 40 variables would
-// overflow; callers stay far below that for counting purposes).
-func (f *Cover) CountMinterms() uint64 {
-	var total uint64
-	var seen []Cube
-	for _, c := range f.Cubes {
-		total += disjointCount(c, seen)
-		seen = append(seen, c)
-	}
-	return total
-}
-
-// disjointCount counts minterms of c not covered by any cube in prior.
-func disjointCount(c Cube, prior []Cube) uint64 {
-	frontier := []Cube{c}
-	for _, p := range prior {
-		var next []Cube
-		for _, q := range frontier {
-			next = append(next, sharpCube(q, p)...)
-		}
-		frontier = next
-		if len(frontier) == 0 {
-			return 0
-		}
-	}
-	var n uint64
-	for _, q := range frontier {
-		n += q.CountMinterms()
-	}
-	return n
-}
-
-// sharpCube returns a disjoint cover of q \ p.
-func sharpCube(q, p Cube) []Cube {
-	if q.Distance(p) > 0 {
-		return []Cube{q}
-	}
-	var out []Cube
-	rem := q.Clone()
-	for i, v := range p {
-		if v == Dash || rem[i] != Dash {
-			continue
-		}
-		piece := rem.Clone()
-		if v == One {
-			piece[i] = Zero
-		} else {
-			piece[i] = One
-		}
-		out = append(out, piece)
-		rem[i] = v
-	}
-	// rem is now q ∩ p; if p had no dash positions free in q the whole
-	// of q is covered and out already holds the difference.
-	return out
+	k := newKernel(f.NumVars)
+	f.Cubes = k.unpack(k.singleCubeContain(k.pack(nil, f.Cubes)))
 }

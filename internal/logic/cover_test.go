@@ -3,7 +3,6 @@ package logic
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func randomCover(rng *rand.Rand, nvars, ncubes int) *Cover {
@@ -62,37 +61,6 @@ func TestTautologyMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestComplementMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 200; iter++ {
-		f := randomCover(rng, 5, rng.Intn(7))
-		g := f.Complement()
-		for m := uint64(0); m < 32; m++ {
-			if f.Eval(m) == g.Eval(m) {
-				t.Fatalf("complement agrees with function at %05b\nf:\n%s\ng:\n%s", m, f, g)
-			}
-		}
-	}
-}
-
-func TestAndOrSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for iter := 0; iter < 100; iter++ {
-		f := randomCover(rng, 5, 1+rng.Intn(5))
-		g := randomCover(rng, 5, 1+rng.Intn(5))
-		and := f.And(g)
-		or := f.Or(g)
-		for m := uint64(0); m < 32; m++ {
-			if and.Eval(m) != (f.Eval(m) && g.Eval(m)) {
-				t.Fatal("And semantics broken")
-			}
-			if or.Eval(m) != (f.Eval(m) || g.Eval(m)) {
-				t.Fatal("Or semantics broken")
-			}
-		}
-	}
-}
-
 func TestCoversCube(t *testing.T) {
 	f := MustParseCover(3, "1-- -1-")
 	if !f.Covers(MustParseCube("11-")) {
@@ -113,46 +81,5 @@ func TestSingleCubeContain(t *testing.T) {
 	f.SingleCubeContain()
 	if len(f.Cubes) != 2 {
 		t.Errorf("expected 2 cubes after containment, got %d:\n%s", len(f.Cubes), f)
-	}
-}
-
-func TestCountMintermsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for iter := 0; iter < 200; iter++ {
-		f := randomCover(rng, 6, rng.Intn(6))
-		var brute uint64
-		for m := uint64(0); m < 64; m++ {
-			if f.Eval(m) {
-				brute++
-			}
-		}
-		if got := f.CountMinterms(); got != brute {
-			t.Fatalf("CountMinterms = %d, brute = %d for\n%s", got, brute, f)
-		}
-	}
-}
-
-func TestCofactorShannon(t *testing.T) {
-	// Shannon expansion must reconstruct the function.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomCover(rng, 5, 1+rng.Intn(6))
-		v := rng.Intn(5)
-		c0, c1 := g.Cofactor(v, Zero), g.Cofactor(v, One)
-		for m := uint64(0); m < 32; m++ {
-			var half *Cover
-			if (m>>uint(v))&1 == 1 {
-				half = c1
-			} else {
-				half = c0
-			}
-			if g.Eval(m) != half.Eval(m) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }

@@ -1,8 +1,9 @@
 // Package logic provides two-level Boolean function manipulation:
-// cubes, covers, cofactors, tautology checking, complementation, and an
+// cubes, covers, containment and tautology checking, and an
 // espresso-style EXPAND/IRREDUNDANT/REDUCE minimizer with don't-care
-// support. It is the substrate under the FSM-to-netlist synthesis flow
-// (the analog of SIS two-level minimization in the reproduced paper).
+// support, all running on a bit-packed positional-cube kernel. It is
+// the substrate under the FSM-to-netlist synthesis flow (the analog of
+// SIS two-level minimization in the reproduced paper).
 package logic
 
 import (
@@ -193,8 +194,12 @@ func (c Cube) Cofactor(i int, v Value) (Cube, bool) {
 }
 
 // EvalBits evaluates the cube on a complete assignment given as a bit
-// vector (bit i of input = variable i).
+// vector (bit i of input = variable i). It panics on cubes of more than
+// 64 variables, which a uint64 cannot assign.
 func (c Cube) EvalBits(assign uint64) bool {
+	if len(c) > 64 {
+		panic(fmt.Sprintf("logic: EvalBits on a cube of %d variables; a uint64 assignment holds at most 64", len(c)))
+	}
 	for i, v := range c {
 		if v == Dash {
 			continue

@@ -1,155 +1,113 @@
 package logic
 
-import "sort"
-
 // Minimize runs an espresso-style heuristic two-level minimization of
 // the ON-set on against the don't-care set dc (dc may be nil). It
 // returns a cover equivalent to on over the care space: the result
 // covers every ON minterm, never intersects the OFF-set, and may absorb
 // DC minterms. The loop is the classic EXPAND → IRREDUNDANT → REDUCE
 // iteration, stopping when the cost (cubes, then literals) no longer
-// improves.
+// improves. The covers are packed into positional cubes on entry and
+// unpacked on exit.
 func Minimize(on, dc *Cover) *Cover {
 	if on == nil {
 		panic("logic: Minimize with nil ON-set")
 	}
-	if dc == nil {
-		dc = NewCover(on.NumVars)
-	}
 	if len(on.Cubes) == 0 {
 		return NewCover(on.NumVars)
 	}
+	k := newKernel(on.NumVars)
 	// care = ON ∪ DC is the region any expanded cube must stay inside.
 	// Working with containment against care avoids ever computing the
 	// OFF-set complement, which can blow up at the variable counts the
 	// synthesis flow reaches (≈35 variables for the scf benchmark).
-	care := on.Or(dc)
+	care := k.pack(nil, on.Cubes)
+	f := k.singleCubeContain(care) // a sorted copy; care stays intact
+	if dc != nil {
+		care = k.pack(care, dc.Cubes)
+	}
+	d := care[len(on.Cubes)*k.s:]
 
-	f := on.Clone()
-	f.SingleCubeContain()
-	expand(f, care)
-	irredundant(f, dc)
-
-	bestCubes, bestLits := len(f.Cubes), f.Literals()
+	f = k.expand(f, care)
+	f = k.irredundant(f, d)
+	bestCubes, bestLits := k.count(f), k.coverLiterals(f)
 	for iter := 0; iter < 12; iter++ {
-		reduce(f, dc)
-		expand(f, care)
-		irredundant(f, dc)
-		c, l := len(f.Cubes), f.Literals()
+		k.reduce(f, d)
+		f = k.expand(f, care)
+		f = k.irredundant(f, d)
+		c, l := k.count(f), k.coverLiterals(f)
 		if c > bestCubes || (c == bestCubes && l >= bestLits) {
 			break
 		}
 		bestCubes, bestLits = c, l
 	}
-	return f
+	return &Cover{NumVars: on.NumVars, Cubes: k.unpack(f)}
 }
 
-// expand raises literals of each cube to Dash as long as the expanded
-// cube stays inside the care region (ON ∪ DC), then drops cubes that
-// became covered by a single other cube.
-func expand(f *Cover, care *Cover) {
-	// Process cubes with many literals first: they have the most to gain.
-	sort.SliceStable(f.Cubes, func(i, j int) bool {
-		return f.Cubes[i].Literals() > f.Cubes[j].Literals()
-	})
-	for _, c := range f.Cubes {
-		expandCube(c, care)
-	}
-	f.SingleCubeContain()
-}
-
-// expandCube raises literals of c one at a time; a raise is legal when
-// the raised cube is still covered by the care region. Raising one
-// literal can unlock or block another, so the scan repeats until no
-// literal can be raised.
-func expandCube(c Cube, care *Cover) {
-	for {
-		raisedAny := false
-		for i, val := range c {
-			if val == Dash {
-				continue
-			}
-			saved := c[i]
-			c[i] = Dash
-			if care.Covers(c) {
-				raisedAny = true
-			} else {
-				c[i] = saved
+// expand raises literals of each cube, most literals first, to Dash as
+// long as the raised cube stays inside the care region (ON ∪ DC), then
+// drops cubes that became covered by a single other cube. Raising one
+// literal can unlock or block another, so each cube's scan repeats
+// until no literal can be raised. Every cube of f already lies inside
+// care, so a raise is legal iff the half it adds, the cube with that
+// literal flipped, does too.
+func (k *kernel) expand(f, care []uint64) []uint64 {
+	f = k.sorted(f, true)
+	half := make([]uint64, k.s)
+	for i := 0; i < k.count(f); i++ {
+		c := k.cube(f, i)
+		for raised := true; raised; {
+			raised = false
+			for j := 0; j < k.w; j++ {
+				for lits := c[j] ^ c[k.w+j]; lits != 0; lits &= lits - 1 {
+					bit := lits & -lits
+					copy(half, c)
+					half[j] ^= bit
+					half[k.w+j] ^= bit
+					if k.covered(half, care, -1, nil, nil) {
+						c[j] |= bit
+						c[k.w+j] |= bit
+						raised = true
+					}
+				}
 			}
 		}
-		if !raisedAny {
-			return
-		}
 	}
+	return k.singleCubeContain(f)
 }
 
 // irredundant removes cubes that are covered by the union of the other
 // cubes and the DC set, scanning largest cubes last so essential small
 // cubes survive.
-func irredundant(f *Cover, dc *Cover) {
-	order := make([]int, len(f.Cubes))
-	for i := range order {
-		order[i] = i
+func (k *kernel) irredundant(f, dc []uint64) []uint64 {
+	removed := make([]bool, k.count(f))
+	for _, i := range k.order(f, true) {
+		removed[i] = k.covered(k.cube(f, i), f, i, removed, dc)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return f.Cubes[order[a]].Literals() > f.Cubes[order[b]].Literals()
-	})
-	removed := make([]bool, len(f.Cubes))
-	for _, idx := range order {
-		rest := NewCover(f.NumVars)
-		for j, c := range f.Cubes {
-			if j != idx && !removed[j] {
-				rest.Cubes = append(rest.Cubes, c)
-			}
-		}
-		rest.Cubes = append(rest.Cubes, dc.Cubes...)
-		if rest.Covers(f.Cubes[idx]) {
-			removed[idx] = true
+	kept := 0
+	for i, r := range removed {
+		if !r {
+			copy(k.cube(f, kept), k.cube(f, i))
+			kept++
 		}
 	}
-	kept := f.Cubes[:0]
-	for j, c := range f.Cubes {
-		if !removed[j] {
-			kept = append(kept, c)
-		}
-	}
-	f.Cubes = kept
+	return f[:kept*k.s]
 }
 
 // reduce shrinks each cube to the supercube of the part of it not
 // covered by the rest of the cover plus the DC set, opening room for a
-// different EXPAND direction on the next pass.
-func reduce(f *Cover, dc *Cover) {
-	for idx := range f.Cubes {
-		c := f.Cubes[idx]
-		rest := NewCover(f.NumVars)
-		for j, d := range f.Cubes {
-			if j != idx {
-				rest.Cubes = append(rest.Cubes, d)
-			}
-		}
-		rest.Cubes = append(rest.Cubes, dc.Cubes...)
-		// Part of c not covered by rest: sharp c against each cube.
-		frontier := []Cube{c.Clone()}
-		for _, r := range rest.Cubes {
-			var next []Cube
-			for _, q := range frontier {
-				next = append(next, sharpCube(q, r)...)
-			}
-			frontier = next
-			if len(frontier) == 0 {
-				break
-			}
-		}
-		if len(frontier) == 0 {
+// different EXPAND direction on the next pass. That part is the cube
+// times the complement of the rest's cofactor against it.
+func (k *kernel) reduce(f, dc []uint64) {
+	for i := 0; i < k.count(f); i++ {
+		c := k.cube(f, i)
+		k.stack = append(k.stack[:0], make([]uint64, k.s)...) // the result slot
+		if k.pushCofactors(f, c, i, nil) || k.pushCofactors(dc, c, -1, nil) {
 			continue // fully redundant; IRREDUNDANT will take it
 		}
-		sc := frontier[0]
-		for _, q := range frontier[1:] {
-			sc = sc.Supercube(q)
-		}
-		if shrunk, ok := c.Intersect(sc); ok {
-			f.Cubes[idx] = shrunk
+		if k.complementSupercube(1, k.top(), 0) {
+			for j, r := range k.cube(k.stack, 0) {
+				c[j] &= r
+			}
 		}
 	}
 }
@@ -161,17 +119,14 @@ func Equivalent(f, g, dc *Cover) bool {
 	if dc == nil {
 		dc = NewCover(f.NumVars)
 	}
+	k := newKernel(f.NumVars)
+	pf, pg, pd := k.pack(nil, f.Cubes), k.pack(nil, g.Cubes), k.pack(nil, dc.Cubes)
 	// f ⊆ g ∪ dc and g ⊆ f ∪ dc.
-	gd := g.Or(dc)
-	for _, c := range f.Cubes {
-		if !gd.Covers(c) {
-			return false
-		}
-	}
-	fd := f.Or(dc)
-	for _, c := range g.Cubes {
-		if !fd.Covers(c) {
-			return false
+	for _, pair := range [2][2][]uint64{{pf, pg}, {pg, pf}} {
+		for i := 0; i < k.count(pair[0]); i++ {
+			if !k.covered(k.cube(pair[0], i), pair[1], -1, nil, pd) {
+				return false
+			}
 		}
 	}
 	return true

@@ -66,9 +66,15 @@ func TestMinimizeRandomFunctions(t *testing.T) {
 		var dc *Cover
 		if rng.Intn(2) == 1 {
 			dc = randomCover(rng, nvars, rng.Intn(3))
-			// DC must not overlap ON for a well-posed spec; carve it out.
+			// DC must not overlap ON for a well-posed spec; carve it out
+			// by intersecting with the OFF-set's minterms.
 			carved := NewCover(nvars)
-			offOn := on.Complement()
+			offOn := NewCover(nvars)
+			for m := uint64(0); m < 1<<uint(nvars); m++ {
+				if !on.Eval(m) {
+					offOn.Add(mintermCube(nvars, m))
+				}
+			}
 			for _, c := range dc.Cubes {
 				for _, o := range offOn.Cubes {
 					if p, ok := c.Intersect(o); ok {
@@ -113,4 +119,13 @@ func TestEquivalent(t *testing.T) {
 	if !Equivalent(f, h, dc) {
 		t.Error("a+b ~ a modulo dc=a'b")
 	}
+}
+
+// mintermCube is the cube of the single assignment m over n variables.
+func mintermCube(n int, m uint64) Cube {
+	c := make(Cube, n)
+	for i := range c {
+		c[i] = Value(m >> uint(i) & 1)
+	}
+	return c
 }

@@ -26,21 +26,16 @@ type PLARow struct {
 }
 
 // OnSet extracts the ON-set cover of output j.
-func (p *PLA) OnSet(j int) *Cover {
-	f := NewCover(p.NumInputs)
-	for _, r := range p.Rows {
-		if r.Output[j] == One {
-			f.Add(r.Input.Clone())
-		}
-	}
-	return f
-}
+func (p *PLA) OnSet(j int) *Cover { return p.inputsWhere(j, One) }
 
 // DCSet extracts the don't-care cover of output j.
-func (p *PLA) DCSet(j int) *Cover {
+func (p *PLA) DCSet(j int) *Cover { return p.inputsWhere(j, Dash) }
+
+// inputsWhere collects the input cubes of the rows whose output j is v.
+func (p *PLA) inputsWhere(j int, v Value) *Cover {
 	f := NewCover(p.NumInputs)
 	for _, r := range p.Rows {
-		if r.Output[j] == Dash {
+		if r.Output[j] == v {
 			f.Add(r.Input.Clone())
 		}
 	}
@@ -52,18 +47,7 @@ func WritePLA(w io.Writer, p *PLA) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, ".i %d\n.o %d\n.p %d\n", p.NumInputs, p.NumOutputs, len(p.Rows))
 	for _, r := range p.Rows {
-		out := make([]byte, p.NumOutputs)
-		for j, v := range r.Output {
-			switch v {
-			case One:
-				out[j] = '1'
-			case Zero:
-				out[j] = '0'
-			default:
-				out[j] = '-'
-			}
-		}
-		fmt.Fprintf(bw, "%s %s\n", r.Input, out)
+		fmt.Fprintf(bw, "%s %s\n", r.Input, r.Output)
 	}
 	fmt.Fprintln(bw, ".e")
 	return bw.Flush()
@@ -152,10 +136,7 @@ func MinimizePLA(p *PLA) *PLA {
 	for j := 0; j < p.NumOutputs; j++ {
 		min := Minimize(p.OnSet(j), p.DCSet(j))
 		for _, c := range min.Cubes {
-			ov := NewCube(p.NumOutputs)
-			for k := range ov {
-				ov[k] = Zero
-			}
+			ov := make(Cube, p.NumOutputs) // all Zero
 			ov[j] = One
 			out.Rows = append(out.Rows, PLARow{Input: c.Clone(), Output: ov})
 		}

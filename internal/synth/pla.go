@@ -21,7 +21,7 @@ func LowerPLA(p *logic.PLA, name string, script Script) (*netlist.Circuit, error
 		c:      netlist.New(name),
 		nIn:    p.NumInputs,
 		invOf:  map[int]int{},
-		strash: map[string]int{},
+		strash: map[strashKey]int{},
 	}
 	for i := 0; i < p.NumInputs; i++ {
 		b.varGate = append(b.varGate, b.c.AddGate(netlist.Input, fmt.Sprintf("in%d", i)))

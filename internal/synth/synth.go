@@ -162,7 +162,7 @@ type builder struct {
 	nBits   int
 	varGate []int       // gate id providing each two-level variable
 	invOf   map[int]int // driver -> cached inverter output
-	strash  map[string]int
+	strash  map[strashKey]int
 	reset   int   // reset PI gate id
 	dffs    []int // DFF gate ids (allocated up front, D patched later)
 }
@@ -173,7 +173,7 @@ func newBuilder(name string, nIn, nBits int) *builder {
 		nIn:    nIn,
 		nBits:  nBits,
 		invOf:  map[int]int{},
-		strash: map[string]int{},
+		strash: map[strashKey]int{},
 	}
 	b.reset = b.c.AddGate(netlist.Input, "reset")
 	b.c.ResetPI = b.reset
@@ -203,19 +203,30 @@ func (b *builder) not(id int) int {
 	return inv
 }
 
+// strashKey identifies a gate by type and fanins (sorted for the
+// commutative types).
+type strashKey struct {
+	t     netlist.GateType
+	n     int
+	fanin [netlist.MaxFanin]int
+}
+
 // hashed adds a gate unless an identical one exists (type + ordered
 // fanins for the commutative types).
 func (b *builder) hashed(t netlist.GateType, fanin ...int) int {
-	sorted := append([]int(nil), fanin...)
+	if len(fanin) > netlist.MaxFanin {
+		panic(fmt.Sprintf("synth: %d fanins exceed the library bound %d", len(fanin), netlist.MaxFanin))
+	}
+	key := strashKey{t: t, n: len(fanin)}
+	copy(key.fanin[:], fanin)
 	switch t {
 	case netlist.And, netlist.Or, netlist.Nand, netlist.Nor, netlist.Xor, netlist.Xnor:
-		sort.Ints(sorted)
+		sort.Ints(key.fanin[:key.n])
 	}
-	key := fmt.Sprintf("%d:%v", t, sorted)
 	if id, ok := b.strash[key]; ok {
 		return id
 	}
-	id := b.c.AddGate(t, "", sorted...)
+	id := b.c.AddGate(t, "", key.fanin[:key.n]...)
 	b.strash[key] = id
 	return id
 }
