@@ -229,7 +229,7 @@ func run() int {
 	if effWorkers <= 0 {
 		effWorkers = runtime.GOMAXPROCS(0)
 	}
-	fmt.Printf("fsim:      %d workers, width auto (throughput knobs; results identical for every value)\n",
+	fmt.Printf("fsim:      %d workers (a throughput knob; results identical for every value)\n",
 		effWorkers)
 	fmt.Printf("tests:     %d sequences\n", len(res.Tests))
 	fmt.Printf("states:    %d distinct states traversed\n", len(s.StatesTraversed))

@@ -30,7 +30,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"syscall"
 
 	"seqatpg/internal/fault"
@@ -58,7 +57,6 @@ func run() int {
 	tf := flag.String("t", "", "test vector file")
 	vcd := flag.String("vcd", "", "dump a VCD waveform of the first sequence to this path")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "fault-simulation worker count (results are identical for every value)")
-	width := flag.Int("width", fault.WidthAuto, "faults per kernel pass: 63, 127, 255, or -1 to adapt to measured activity (results are identical for every value)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	showVersion := flag.Bool("version", false, "print the build identity (the /version handshake) and exit")
@@ -139,9 +137,9 @@ func run() int {
 		log.Print(err)
 		return exitSetup
 	}
-	fs.Width = *width
 	detected := make([]bool, len(faults))
 	states := map[uint64]bool{}
+	tooWide := false // StateTrace refused the circuit: states are not counted
 	cycles := 0
 	for i, seq := range seqs {
 		if ctx.Err() != nil {
@@ -161,7 +159,14 @@ func run() int {
 		for i, d := range det {
 			detected[i] = detected[i] || d
 		}
+		if tooWide {
+			continue
+		}
 		trace, err := fault.StateTrace(c, seq)
+		if errors.Is(err, fault.ErrStateTooWide) {
+			tooWide = true
+			continue
+		}
 		if err != nil {
 			log.Print(err)
 			return exitSetup
@@ -176,13 +181,13 @@ func run() int {
 	fmt.Printf("tests:     %d sequences, %d cycles total\n", len(seqs), cycles)
 	fmt.Printf("faults:    %d collapsed, %d detected\n", cov.Total, cov.Detected)
 	fmt.Printf("coverage:  FC %.2f%%\n", cov.FC())
-	fmt.Printf("states:    %d distinct states traversed\n", len(states))
-	widthStr := strconv.Itoa(*width)
-	if *width == fault.WidthAuto {
-		widthStr = "auto"
+	if tooWide {
+		fmt.Printf("states:    n/a (%d DFFs > %d)\n", c.NumDFFs(), sim.MaxStateBits)
+	} else {
+		fmt.Printf("states:    %d distinct states traversed\n", len(states))
 	}
-	fmt.Printf("kernel:    %d workers, width %s: %d events, %d gate evals (%d avoided), %d early batch exits\n",
-		*workers, widthStr, st.Events, st.GateEvals, st.GateEvalsAvoided, st.EarlyExits)
+	fmt.Printf("kernel:    %d workers: %d events, %d gate evals (%d avoided), %d early batch exits\n",
+		*workers, st.Events, st.GateEvals, st.GateEvalsAvoided, st.EarlyExits)
 
 	if *vcd != "" {
 		// The report above already holds the results; a VCD failure must

@@ -24,7 +24,6 @@ func CompactTests(c *netlist.Circuit, tests [][][]sim.Val, faults []fault.Fault)
 	if err != nil {
 		return nil, err
 	}
-	fs.Width = fault.WidthAuto // verdicts are width-invariant; adapt to activity
 	covered := make([]bool, len(faults))
 	var kept [][][]sim.Val
 	for i := len(tests) - 1; i >= 0; i-- {

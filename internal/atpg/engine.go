@@ -292,12 +292,6 @@ func New(c *netlist.Circuit, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The engine only consumes detection verdicts, which are
-	// byte-identical across kernel widths, so let the kernel pick its
-	// width from measured activity. Effort is charged in 63-fault pass
-	// equivalents regardless (fsimPasses), so checkpoints and
-	// fingerprints are unaffected.
-	e.fsim.Width = fault.WidthAuto
 	if err := e.computeFlush(); err != nil {
 		return nil, err
 	}

@@ -145,11 +145,10 @@ func (e *Engine) generateSafe(i int, f *fault.Fault) (out Outcome, seq [][]sim.V
 	return out, seq, nil
 }
 
-// fsimPasses is the fault-simulation effort unit: the number of
-// 63-fault simulator passes a drop over n live faults costs. (Exactly
-// ceil(n/63) — n = 63 is one pass, not two.)
+// fsimPasses is the fault-simulation effort unit: the number of kernel
+// passes a drop over n live faults costs, ceil(n/fault.FaultsPerPass).
 func fsimPasses(n int) int64 {
-	return int64((n + 62) / 63)
+	return int64((n + fault.FaultsPerPass - 1) / fault.FaultsPerPass)
 }
 
 // Run generates tests for the whole collapsed fault universe.

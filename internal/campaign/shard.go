@@ -261,7 +261,6 @@ func UpgradeAborted(c *netlist.Circuit, faults []fault.Fault, merged *Result, wo
 	if err != nil {
 		return err
 	}
-	fs.Width = fault.WidthAuto // verdicts are width-invariant; adapt to activity
 	for _, seq := range merged.Tests {
 		if len(live) == 0 {
 			break

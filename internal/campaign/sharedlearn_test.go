@@ -76,10 +76,8 @@ func TestFingerprintIgnoresCdclKnobs(t *testing.T) {
 }
 
 // TestFingerprintIgnoresFsimWorkers pins the contract the fault-sim
-// throughput knobs rely on: FsimWorkers (and, inside the engine, the
-// kernel Width it implies) is worker-count- and width-invariant in
-// results and effort, so changing it must never invalidate a
-// checkpoint. A machine with more cores resumes another machine's
+// throughput knob relies on: results and effort are invariant in
+// FsimWorkers, so changing it must never invalidate a checkpoint. A machine with more cores resumes another machine's
 // campaign.
 func TestFingerprintIgnoresFsimWorkers(t *testing.T) {
 	c := synthC(t, 7, 5)

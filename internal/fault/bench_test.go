@@ -59,14 +59,13 @@ func benchSeq(nPI, frames int) [][]sim.Val {
 
 // benchSim runs b.N full passes of seq over the collapsed universe and
 // reports throughput plus the kernel's work-avoidance counters.
-func benchSim(b *testing.B, c *netlist.Circuit, frames, workers, width int) {
+func benchSim(b *testing.B, c *netlist.Circuit, frames, workers int) {
 	b.Helper()
 	faults := CollapsedUniverse(c)
 	fs, err := NewSimulator(c)
 	if err != nil {
 		b.Fatal(err)
 	}
-	fs.Width = width
 	seq := benchSeq(len(c.PIs), frames)
 	before := fs.Stats()
 	b.ResetTimer()
@@ -89,57 +88,32 @@ func benchSim(b *testing.B, c *netlist.Circuit, frames, workers, width int) {
 // BenchmarkParallelFaultSim is the fixed baseline: one full pass of a
 // 24-vector sequence over the collapsed fault universe of the mid-size
 // control circuit (~950 gates, ~2200 collapsed faults), single-threaded
-// at the narrow (63-fault) width — the seed kernel's configuration, so
-// the speedup ratios below measure against it.
+// — the seed kernel's configuration, so the speedup ratios below
+// measure against it.
 func BenchmarkParallelFaultSim(b *testing.B) {
-	benchSim(b, benchCircuit(b, benchMidSpec), 24, 1, Width63)
-}
-
-// BenchmarkWideWord is the width ablation: the same single-threaded
-// workload at each lane-group width. Wider lane groups cut the batch
-// count (ceil(n/63) → ceil(n/255) passes), but each batch unions more
-// fault cones into one active region, so on event-friendly circuits
-// like this one the narrow kernel wins; the wide kernel wins on
-// high-activity workloads (see BenchmarkFaultSimSmall and the
-// WidthAuto heuristic). Results are byte-identical across widths.
-func BenchmarkWideWord(b *testing.B) {
-	c := benchCircuit(b, benchMidSpec)
-	for _, tc := range []struct {
-		name  string
-		width int
-	}{
-		{"w63", Width63},
-		{"w127", Width127},
-		{"w255", Width255},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			benchSim(b, c, 24, 1, tc.width)
-		})
-	}
+	benchSim(b, benchCircuit(b, benchMidSpec), 24, 1)
 }
 
 // BenchmarkParallelFaultSimWorkers shows DetectsParallel scaling on the
-// same workload at the adaptive width — the production configuration
-// the engines and CLIs run. Every worker count returns identical
-// results; workers are handed pre-partitioned contiguous batch ranges,
-// so there is no dispatch channel on the hot path. Scaling is bounded
+// same workload. Every worker count returns identical results; workers
+// are handed pre-partitioned contiguous batch ranges, so there is no
+// dispatch channel on the hot path. Scaling is bounded
 // by the host's real core count: on a single-CPU container every
 // worker count measures the same.
 func BenchmarkParallelFaultSimWorkers(b *testing.B) {
 	c := benchCircuit(b, benchMidSpec)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(map[int]string{1: "w1", 2: "w2", 4: "w4", 8: "w8"}[w], func(b *testing.B) {
-			benchSim(b, c, 24, w, WidthAuto)
+			benchSim(b, c, 24, w)
 		})
 	}
 }
 
 // BenchmarkFaultSimSmall keeps the small circuit as a secondary point:
 // high-activity small circuits are the event-driven kernel's worst
-// case and the wide kernel's best, so this is where WidthAuto's
-// narrow→wide switch pays (~1.3x over forcing Width63).
+// case. Measured ~0.41 ms per pass (median of 8 runs, 2-CPU host).
 func BenchmarkFaultSimSmall(b *testing.B) {
-	benchSim(b, benchCircuit(b, benchSmallSpec), 12, 1, WidthAuto)
+	benchSim(b, benchCircuit(b, benchSmallSpec), 12, 1)
 }
 
 // BenchmarkActiveRegionVsOblivious isolates the event-driven active-
@@ -187,9 +161,9 @@ func BenchmarkOriginalVsRetimed(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("original", func(b *testing.B) {
-		benchSim(b, c, 12, 1, Width63)
+		benchSim(b, c, 12, 1)
 	})
 	b.Run("retimed", func(b *testing.B) {
-		benchSim(b, re.Circuit, 12+re.FlushCycles, 1, Width63)
+		benchSim(b, re.Circuit, 12+re.FlushCycles, 1)
 	})
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -234,5 +235,52 @@ func TestVectorWidthError(t *testing.T) {
 	_, err := fs.Detects([][]sim.Val{{sim.V0}}, CollapsedUniverse(c))
 	if err == nil {
 		t.Error("wrong vector width must error")
+	}
+}
+
+// shiftChain builds an n-stage shift register: in -> q0 -> ... -> out.
+func shiftChain(t *testing.T, n int) *netlist.Circuit {
+	t.Helper()
+	c := netlist.New("chain")
+	prev := c.AddGate(netlist.Input, "in")
+	for i := 0; i < n; i++ {
+		prev = c.AddGate(netlist.DFF, "", prev)
+	}
+	c.AddGate(netlist.Output, "out", prev)
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestStateTraceRejectsWideState: shifting a single one through an
+// n-stage chain visits n+1 distinct states (all zeros, then the one at
+// each stage). At 64 stages every state is counted; at 65 the state
+// with the one in DFF 64 does not fit a uint64 and would alias the
+// all-zero state, so StateTrace must refuse the circuit instead.
+func TestStateTraceRejectsWideState(t *testing.T) {
+	for _, n := range []int{64, 65} {
+		c := shiftChain(t, n)
+		var seq [][]sim.Val
+		for k := 0; k < 2*n; k++ {
+			v := sim.V0
+			if k == n {
+				v = sim.V1
+			}
+			seq = append(seq, []sim.Val{v})
+		}
+		states, err := StateTrace(c, seq)
+		if n <= sim.MaxStateBits {
+			if err != nil {
+				t.Fatalf("%d stages: %v", n, err)
+			}
+			if len(states) != n+1 {
+				t.Fatalf("%d stages: %d states traversed, want %d", n, len(states), n+1)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrStateTooWide) {
+			t.Fatalf("%d stages: err %v, want ErrStateTooWide (%d states counted)", n, err, len(states))
+		}
 	}
 }

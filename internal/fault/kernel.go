@@ -8,215 +8,62 @@ import (
 	"seqatpg/internal/sim"
 )
 
-// lanes constrains the kernel's lane-group shapes: one, two or four
-// 64-bit words per circuit position. Each shape instantiates its own
-// copy of the kernel with the lane count a compile-time constant, so
-// the per-lane folds unroll instead of looping over a runtime width.
-type lanes interface {
-	[1]uint64 | [2]uint64 | [4]uint64
-}
+// FaultsPerPass is the batch capacity of one kernel pass: a sim.PVal
+// word carries 64 circuits, and bit 0 is reserved for the broadcast
+// good value, so bits 1–63 carry one fault each.
+const FaultsPerPass = 63
 
-// laneCount returns the lane count of a shape as a plain int.
-func laneCount[L lanes]() int {
-	var l L
-	return len(l)
-}
-
-// laneIdx maps a lane count to its pool slot: 1→0, 2→1, 4→2.
-func laneIdx(lanes int) int { return lanes >> 1 }
-
-// faultsPerPass is the batch capacity of a lane group: 64 bits per
-// lane, minus the bit reserved for the broadcast good value.
-func faultsPerPass[L lanes]() int { return 64*laneCount[L]() - 1 }
-
-// pword is a lane group: W two-rail 64-bit words carrying 64·W
-// circuits in parallel. Bit b of lane l is circuit 64·l+b; zero[l] bit
-// b set means that circuit sees logic 0, one[l] means 1, neither X.
-type pword[L lanes] struct{ zero, one L }
-
-// bcast replicates a broadcast good word into every lane.
-func bcast[L lanes](g sim.PVal) (w pword[L]) {
-	for l := 0; l < len(w.zero); l++ {
-		w.zero[l] = g.Zero
-		w.one[l] = g.One
-	}
-	return w
-}
-
-// eq compares two lane groups branch-free. The hot paths compare lane
-// groups constantly (divergence-from-good is the active-region test);
-// spelled as `==` on the structs the compiler emits a runtime memequal
-// call for the wider shapes, so the folds here are worth ~15% of the
-// whole kernel.
-func (w *pword[L]) eq(v *pword[L]) bool {
-	var d uint64
-	for l := 0; l < len(w.zero); l++ {
-		d |= (w.zero[l] ^ v.zero[l]) | (w.one[l] ^ v.one[l])
-	}
-	return d == 0
-}
-
-// set assigns circuit `bit`'s value in the lane group.
-func (w *pword[L]) set(bit uint32, v sim.Val) {
-	l, b := bit>>6, bit&63
-	w.zero[l] &^= 1 << b
-	w.one[l] &^= 1 << b
-	switch v {
-	case sim.V0:
-		w.zero[l] |= 1 << b
-	case sim.V1:
-		w.one[l] |= 1 << b
-	}
-}
-
-// evalWide computes a gate's lane-group output from its fanin groups —
-// the generic (gather-based) evaluation used at injection sites and
-// for fanin-less gates, mirroring sim.EvalGateP lane by lane.
-func evalWide[L lanes](t netlist.GateType, in []pword[L]) pword[L] {
-	switch t {
-	case netlist.Buf, netlist.Output, netlist.DFF:
-		return in[0]
-	case netlist.Not:
-		w := in[0]
-		return pword[L]{zero: w.one, one: w.zero}
-	case netlist.And, netlist.Nand:
-		acc := bcast[L](pconstTab[sim.V1])
-		for _, v := range in {
-			for l := 0; l < len(acc.zero); l++ {
-				acc.zero[l] |= v.zero[l]
-				acc.one[l] &= v.one[l]
-			}
-		}
-		if t == netlist.Nand {
-			return pword[L]{zero: acc.one, one: acc.zero}
-		}
-		return acc
-	case netlist.Or, netlist.Nor:
-		acc := bcast[L](pconstTab[sim.V0])
-		for _, v := range in {
-			for l := 0; l < len(acc.zero); l++ {
-				acc.zero[l] &= v.zero[l]
-				acc.one[l] |= v.one[l]
-			}
-		}
-		if t == netlist.Nor {
-			return pword[L]{zero: acc.one, one: acc.zero}
-		}
-		return acc
-	case netlist.Xor, netlist.Xnor:
-		acc := bcast[L](pconstTab[sim.V0])
-		for _, v := range in {
-			for l := 0; l < len(acc.zero); l++ {
-				known := (acc.zero[l] | acc.one[l]) & (v.zero[l] | v.one[l])
-				ones := (acc.one[l] & v.zero[l]) | (acc.zero[l] & v.one[l])
-				acc.zero[l] = known &^ ones
-				acc.one[l] = ones
-			}
-		}
-		if t == netlist.Xnor {
-			return pword[L]{zero: acc.one, one: acc.zero}
-		}
-		return acc
-	case netlist.Const0:
-		return bcast[L](pconstTab[sim.V0])
-	case netlist.Const1:
-		return bcast[L](pconstTab[sim.V1])
-	default:
-		return pword[L]{} // all X
-	}
-}
+// eq compares two words with one XOR/OR fold and one test. The kernel
+// compares words constantly (divergence from the good row is the
+// active-region test), and `==` on the struct, which compiles to two
+// compare-and-branch pairs, measured ~10% slower on
+// BenchmarkParallelFaultSim.
+func eq(a, b sim.PVal) bool { return (a.Zero^b.Zero)|(a.One^b.One) == 0 }
 
 // injection describes where a batch member's fault manifests.
 type injection struct {
-	bit uint32 // circuit bit carrying the fault (lane = bit>>6)
+	bit uint32 // circuit bit carrying the fault
 	pin int16  // -1 for output stem, else the fanin branch
 	sa  sim.Val
-}
-
-// eqs reports whether every lane of the group equals the broadcast
-// good value — the divergence-from-good test, taken against the scalar
-// good rows. The scalar rows are a quarter the footprint of replicated
-// wide rows, so they stay cache-resident where materialized wide rows
-// measurably did not.
-func (w *pword[L]) eqs(g sim.PVal) bool {
-	var d uint64
-	for l := 0; l < len(w.zero); l++ {
-		d |= (w.zero[l] ^ g.Zero) | (w.one[l] ^ g.One)
-	}
-	return d == 0
-}
-
-// wideRows prepares (and caches) the good-circuit rows replicated to
-// lane shape L, shared read-only by every batch of the call. The wide
-// rows serve the bulk stores — the t = 0 fill and the frame-boundary
-// repairs — as plain memmoves, which measurably beat per-position
-// broadcast stores; divergence *compares* still run against the scalar
-// rows (eqs), which are a quarter the footprint and stay cache-hot.
-// Buffers are reused across calls per lane shape (slot indexed by
-// laneIdx, like pools), so the engines' interleaved one-lane DetectsOne
-// and wide Detects calls do not evict each other.
-func wideRows[L lanes](fs *Simulator) [][]pword[L] {
-	slot := &fs.wrows[laneIdx(laneCount[L]())]
-	rows, _ := (*slot).([][]pword[L])
-	n := fs.soa.NumGates()
-	if cap(rows) < len(fs.goodRows) {
-		grown := make([][]pword[L], len(fs.goodRows))
-		copy(grown, rows)
-		rows = grown
-	}
-	rows = rows[:len(fs.goodRows)]
-	for t, row := range fs.goodRows {
-		if rows[t] == nil {
-			rows[t] = make([]pword[L], n)
-		}
-		wrow := rows[t]
-		for p, g := range row {
-			wrow[p] = bcast[L](g)
-		}
-	}
-	*slot = rows
-	return rows
 }
 
 // batchCtx is the per-batch arena: every slice the kernel mutates
 // while simulating one batch, indexed by topological position (state
 // by DFF index) and reused across batches — resetting between batches
 // is O(batch), not O(gates). Workers each hold their own arena from
-// the per-width pool.
+// the simulator's pool.
 //
 // The kernel's core invariant: at every point inside a frame, vals[p]
-// is the position's lane group for that frame if it has been
-// evaluated, and the replicated good row value otherwise. Event frames
-// restore the invariant at the frame boundary by repairing just the
-// touched positions with the next frame's good row; frames finished by
-// an oblivious sweep repair with one bulk copy. Reads therefore never
-// need a liveness check.
-type batchCtx[L lanes] struct {
-	vals     []pword[L]
+// is the position's word for that frame if it has been evaluated, and
+// the good row value otherwise. Event frames restore the invariant at
+// the frame boundary by repairing just the touched positions with the
+// next frame's good row; frames finished by an oblivious sweep repair
+// with one bulk copy. Reads therefore never need a liveness check.
+type batchCtx struct {
+	vals     []sim.PVal
 	touched  []int32 // positions stored by the current event frame
-	state    []pword[L]
+	state    []sim.PVal
 	inject   [][]injection // position -> live injections (empty off-site)
 	injSites []int32
 	sites    []int32  // injSites sorted by position, for the sweep segments
 	seed     []uint64 // frame seed bitset: sites that still carry live faults
 	pend     []uint64 // pending-event bitset by position
-	faninBuf [netlist.MaxFanin]pword[L]
+	faninBuf [netlist.MaxFanin]sim.PVal
 
 	// activity counters, accumulated across the batches this arena
 	// served and folded into the Simulator's atomics on release
 	nbatches, frames, events, evals, fallbacks, earlyExits int64
 }
 
-// getBatchCtx fetches (or builds) a batch arena for lane shape L.
-func getBatchCtx[L lanes](fs *Simulator) *batchCtx[L] {
-	pool := &fs.pools[laneIdx(laneCount[L]())]
-	if v := pool.Get(); v != nil {
-		return v.(*batchCtx[L])
+// getBatchCtx fetches (or builds) a batch arena.
+func (fs *Simulator) getBatchCtx() *batchCtx {
+	if v := fs.pool.Get(); v != nil {
+		return v.(*batchCtx)
 	}
 	n := fs.soa.NumGates()
-	return &batchCtx[L]{
-		vals:   make([]pword[L], n),
-		state:  make([]pword[L], fs.soa.NumDFFs()),
+	return &batchCtx{
+		vals:   make([]sim.PVal, n),
+		state:  make([]sim.PVal, fs.soa.NumDFFs()),
 		inject: make([][]injection, n),
 		seed:   make([]uint64, (n+63)/64),
 		pend:   make([]uint64, (n+63)/64),
@@ -226,7 +73,7 @@ func getBatchCtx[L lanes](fs *Simulator) *batchCtx[L] {
 // putBatchCtx folds the arena's locally accumulated counters into the
 // shared stats — the single point of cross-worker contention, one
 // atomic add per counter per release — and returns it to the pool.
-func putBatchCtx[L lanes](fs *Simulator, bc *batchCtx[L]) {
+func (fs *Simulator) putBatchCtx(bc *batchCtx) {
 	atomic.AddInt64(&fs.stats.batches, bc.nbatches)
 	atomic.AddInt64(&fs.stats.frames, bc.frames)
 	atomic.AddInt64(&fs.stats.events, bc.events)
@@ -235,16 +82,15 @@ func putBatchCtx[L lanes](fs *Simulator, bc *batchCtx[L]) {
 	atomic.AddInt64(&fs.stats.fallbacks, bc.fallbacks)
 	atomic.AddInt64(&fs.stats.earlyExits, bc.earlyExits)
 	bc.nbatches, bc.frames, bc.events, bc.evals, bc.fallbacks, bc.earlyExits = 0, 0, 0, 0, 0, 0
-	fs.pools[laneIdx(laneCount[L]())].Put(bc)
+	fs.pool.Put(bc)
 }
 
-// runBatch simulates one batch of up to faultsPerPass[L] faults against
-// the shared good rows. Bit i+1 (lane (i+1)>>6) of every lane group
-// carries faults[i]; a gate enters the batch's active region the first
-// frame its lane group diverges from the good row value. The arena's
-// injection tables are cleared on return (O(batch)) so it can serve the
-// next batch.
-func runBatch[L lanes](fs *Simulator, bc *batchCtx[L], rows [][]pword[L], frames int, faults []Fault, detected []bool) {
+// runBatch simulates one batch of up to FaultsPerPass faults against
+// the shared good rows. Bit i+1 of every word carries faults[i]; a gate
+// enters the batch's active region the first frame its word diverges
+// from the good row value. The arena's injection tables are cleared on
+// return (O(batch)) so it can serve the next batch.
+func runBatch(fs *Simulator, bc *batchCtx, frames int, faults []Fault, detected []bool) {
 	bc.nbatches++
 	for i := range faults {
 		f := &faults[i]
@@ -255,7 +101,7 @@ func runBatch[L lanes](fs *Simulator, bc *batchCtx[L], rows [][]pword[L], frames
 		bc.inject[p] = append(bc.inject[p], injection{bit: uint32(i + 1), pin: int16(f.Pin), sa: f.SA})
 	}
 	bc.sites = append(bc.sites[:0], bc.injSites...)
-	for i := 1; i < len(bc.sites); i++ { // ≤Width sites: insertion sort
+	for i := 1; i < len(bc.sites); i++ { // ≤FaultsPerPass sites: insertion sort
 		for j := i; j > 0 && bc.sites[j] < bc.sites[j-1]; j-- {
 			bc.sites[j], bc.sites[j-1] = bc.sites[j-1], bc.sites[j]
 		}
@@ -266,14 +112,11 @@ func runBatch[L lanes](fs *Simulator, bc *batchCtx[L], rows [][]pword[L], frames
 	for _, p := range bc.injSites {
 		bc.seed[p>>6] |= 1 << (uint32(p) & 63)
 	}
-	var det, full, dropped L
-	for i := range faults {
-		b := uint32(i + 1)
-		full[b>>6] |= 1 << (b & 63)
-	}
+	var det, dropped uint64
+	full := (uint64(1)<<uint(len(faults)) - 1) << 1 // bits 1..len(faults)
 	state := bc.state
 	for i := range state {
-		state[i] = pword[L]{} // all X
+		state[i] = sim.PVal{} // all X
 	}
 	threshold := fs.fallbackThreshold()
 
@@ -281,7 +124,7 @@ func runBatch[L lanes](fs *Simulator, bc *batchCtx[L], rows [][]pword[L], frames
 	// good row value until an evaluation stores a diverged one.
 	bc.touched = bc.touched[:0]
 	if frames > 0 {
-		copy(bc.vals, rows[0])
+		copy(bc.vals, fs.goodRows[0])
 	}
 
 	// dense remembers that the previous frame's activity exceeded the
@@ -301,11 +144,11 @@ func runBatch[L lanes](fs *Simulator, bc *batchCtx[L], rows [][]pword[L], frames
 			dense = 2*active >= threshold
 		} else {
 			// Seed the frame's events: injection sites (a batch-constant
-			// bitset), and flip-flops whose faulty lane group diverged
-			// from the good state.
+			// bitset), and flip-flops whose faulty word diverged from the
+			// good state.
 			copy(bc.pend, bc.seed)
 			for i, p := range fs.soa.DFFPos {
-				if !state[i].eqs(row[p]) {
+				if !eq(state[i], row[p]) {
 					bc.pend[p>>6] |= 1 << (uint32(p) & 63)
 				}
 			}
@@ -343,7 +186,7 @@ func runBatch[L lanes](fs *Simulator, bc *batchCtx[L], rows [][]pword[L], frames
 					if kind := kinds[p]; len(inject[p]) == 0 && kind >= netlist.Output && kind <= netlist.Xnor {
 						evals++
 						w := foldVals(fs, bc, p, kind)
-						if !w.eq(&vals[p]) {
+						if !eq(w, vals[p]) {
 							vals[p] = w
 							bc.touched = append(bc.touched, int32(p))
 							for _, o := range fout[foutOff[p]:foutOff[p+1]] {
@@ -360,20 +203,15 @@ func runBatch[L lanes](fs *Simulator, bc *batchCtx[L], rows [][]pword[L], frames
 		}
 
 		// Word-level detection: good binary, faulty binary, different.
-		// The scalar good row tells binary-ness in one compare per
-		// output; an inactive output still holds the good row value,
-		// contributing nothing.
+		// The good row tells binary-ness in one compare per output; an
+		// inactive output still holds the good row value, contributing
+		// nothing.
 		for _, p := range fs.soa.POPos {
-			w := &bc.vals[p]
 			switch g := row[p]; {
 			case g.Zero == ^uint64(0):
-				for l := 0; l < len(det); l++ {
-					det[l] |= w.one[l] & full[l]
-				}
+				det |= bc.vals[p].One & full
 			case g.One == ^uint64(0):
-				for l := 0; l < len(det); l++ {
-					det[l] |= w.zero[l] & full[l]
-				}
+				det |= bc.vals[p].Zero & full
 			}
 		}
 
@@ -395,7 +233,7 @@ func runBatch[L lanes](fs *Simulator, bc *batchCtx[L], rows [][]pword[L], frames
 				injs := bc.inject[p]
 				kept := injs[:0]
 				for _, inj := range injs {
-					if det[inj.bit>>6]>>(inj.bit&63)&1 == 0 {
+					if det>>inj.bit&1 == 0 {
 						kept = append(kept, inj)
 					}
 				}
@@ -426,14 +264,12 @@ func runBatch[L lanes](fs *Simulator, bc *batchCtx[L], rows [][]pword[L], frames
 			w := bc.vals[dp]
 			for _, inj := range bc.inject[fs.soa.DFFPos[i]] {
 				if inj.pin <= 0 {
-					w.set(inj.bit, inj.sa)
+					w.Set(uint(inj.bit), inj.sa)
 				}
 			}
 			g := row[dp]
-			for l := 0; l < len(w.zero); l++ {
-				w.zero[l] = w.zero[l]&^dropped[l] | g.Zero&dropped[l]
-				w.one[l] = w.one[l]&^dropped[l] | g.One&dropped[l]
-			}
+			w.Zero = w.Zero&^dropped | g.Zero&dropped
+			w.One = w.One&^dropped | g.One&dropped
 			state[i] = w
 		}
 
@@ -442,7 +278,7 @@ func runBatch[L lanes](fs *Simulator, bc *batchCtx[L], rows [][]pword[L], frames
 		// the frames, get the next good row; everything else already holds
 		// it. Swept frames skip the bookkeeping with one bulk copy.
 		if t+1 < frames {
-			next := rows[t+1]
+			next := fs.goodRows[t+1]
 			// Past about half the circuit, one bulk memmove beats the
 			// scattered per-position stores.
 			if sweptAll || len(bc.touched)+len(fs.gDelta[t+1]) > len(next)/2 {
@@ -459,8 +295,7 @@ func runBatch[L lanes](fs *Simulator, bc *batchCtx[L], rows [][]pword[L], frames
 		bc.touched = bc.touched[:0]
 	}
 	for i := range faults {
-		b := uint32(i + 1)
-		detected[i] = det[b>>6]>>(b&63)&1 == 1
+		detected[i] = det>>uint(i+1)&1 == 1
 	}
 	// Clear the injection tables (O(batch), not O(gates)).
 	for _, p := range bc.injSites {
@@ -476,14 +311,14 @@ func runBatch[L lanes](fs *Simulator, bc *batchCtx[L], rows [][]pword[L], frames
 // trips the fallback threshold mid-frame. Each gate's fanins are
 // current when it is reached: earlier swept positions were just stored,
 // and everything else holds its value by the frame invariant. Because
-// the (at most Width) injection sites are visited between segments of
-// the sorted site list, the hot loop never touches the injection
-// tables at all. It returns the number of positions whose lane group
-// diverges from the good row value, which drives the switch back to
-// event mode.
+// the (at most FaultsPerPass) injection sites are visited between
+// segments of the sorted site list, the hot loop never touches the
+// injection tables at all. It returns the number of positions whose
+// word diverges from the good row value, which drives the switch back
+// to event mode.
 //
-// The two-rail folds mirror foldVals (and evalWide) exactly.
-func sweepFrom[L lanes](fs *Simulator, bc *batchCtx[L], row []sim.PVal, from int) (active int) {
+// The two-rail folds mirror foldVals (and sim.EvalGateP) exactly.
+func sweepFrom(fs *Simulator, bc *batchCtx, row []sim.PVal, from int) (active int) {
 	vals := bc.vals
 	kinds, faninOff, fan := fs.soa.Kind, fs.soa.FaninOff, fs.soa.Fanin
 	n0 := 0
@@ -498,14 +333,14 @@ func sweepFrom[L lanes](fs *Simulator, bc *batchCtx[L], row []sim.PVal, from int
 		}
 		for p := start; p < stop; p++ {
 			kind := kinds[p]
-			var w pword[L]
+			var w sim.PVal
 			off, end := faninOff[p], faninOff[p+1]
 			if off == end {
 				switch kind {
 				case netlist.Input:
-					w = bcast[L](row[p])
+					w = row[p]
 				default:
-					w = evalWide[L](kind, nil) // Const0/Const1 (or a degenerate gate)
+					w = sim.EvalGateP(kind, nil) // Const0/Const1 (or a degenerate gate)
 				}
 				vals[p] = w
 				continue // equal to good by construction
@@ -515,42 +350,36 @@ func sweepFrom[L lanes](fs *Simulator, bc *batchCtx[L], row []sim.PVal, from int
 			case netlist.And, netlist.Nand:
 				for k := off + 1; k < end; k++ {
 					b := &vals[fan[k]]
-					for l := 0; l < len(w.zero); l++ {
-						w.zero[l] |= b.zero[l]
-						w.one[l] &= b.one[l]
-					}
+					w.Zero |= b.Zero
+					w.One &= b.One
 				}
 				if kind == netlist.Nand {
-					w = pword[L]{zero: w.one, one: w.zero}
+					w = sim.PVal{Zero: w.One, One: w.Zero}
 				}
 			case netlist.Or, netlist.Nor:
 				for k := off + 1; k < end; k++ {
 					b := &vals[fan[k]]
-					for l := 0; l < len(w.zero); l++ {
-						w.zero[l] &= b.zero[l]
-						w.one[l] |= b.one[l]
-					}
+					w.Zero &= b.Zero
+					w.One |= b.One
 				}
 				if kind == netlist.Nor {
-					w = pword[L]{zero: w.one, one: w.zero}
+					w = sim.PVal{Zero: w.One, One: w.Zero}
 				}
 			case netlist.Xor, netlist.Xnor:
 				for k := off + 1; k < end; k++ {
 					b := &vals[fan[k]]
-					for l := 0; l < len(w.zero); l++ {
-						known := (w.zero[l] | w.one[l]) & (b.zero[l] | b.one[l])
-						ones := (w.one[l] & b.zero[l]) | (w.zero[l] & b.one[l])
-						w.zero[l] = known &^ ones
-						w.one[l] = ones
-					}
+					known := (w.Zero | w.One) & (b.Zero | b.One)
+					ones := (w.One & b.Zero) | (w.Zero & b.One)
+					w.Zero = known &^ ones
+					w.One = ones
 				}
 				if kind == netlist.Xnor {
-					w = pword[L]{zero: w.one, one: w.zero}
+					w = sim.PVal{Zero: w.One, One: w.Zero}
 				}
 			case netlist.Not:
-				w = pword[L]{zero: w.one, one: w.zero}
+				w = sim.PVal{Zero: w.One, One: w.Zero}
 			case netlist.Buf, netlist.Output:
-				// w is already the single fanin's lane group.
+				// w is already the single fanin's word.
 			case netlist.DFF:
 				w = bc.state[fs.soa.DFFAt[p]]
 			default:
@@ -558,10 +387,10 @@ func sweepFrom[L lanes](fs *Simulator, bc *batchCtx[L], row []sim.PVal, from int
 				for k := off; k < end; k++ {
 					in[k-off] = vals[fan[k]]
 				}
-				w = evalWide(kind, in)
+				w = sim.EvalGateP(kind, in)
 			}
 			vals[p] = w
-			if !w.eqs(row[p]) {
+			if !eq(w, row[p]) {
 				active++
 			}
 		}
@@ -570,7 +399,7 @@ func sweepFrom[L lanes](fs *Simulator, bc *batchCtx[L], row []sim.PVal, from int
 			// mode (store unconditionally, schedule nothing).
 			p := int(bc.sites[n])
 			evalPos(fs, bc, p, row, true)
-			if !bc.vals[p].eqs(row[p]) {
+			if !eq(bc.vals[p], row[p]) {
 				active++
 			}
 		}
@@ -581,92 +410,85 @@ func sweepFrom[L lanes](fs *Simulator, bc *batchCtx[L], row []sim.PVal, from int
 
 // foldVals is the no-injection combinational fold over bc.vals, for
 // event positions whose fanins are all current; it mirrors the sweep
-// hot loop (and evalWide) exactly.
-func foldVals[L lanes](fs *Simulator, bc *batchCtx[L], p int, kind netlist.GateType) pword[L] {
+// hot loop (and sim.EvalGateP) exactly.
+func foldVals(fs *Simulator, bc *batchCtx, p int, kind netlist.GateType) sim.PVal {
 	vals, fan := bc.vals, fs.soa.Fanin
 	off, end := fs.soa.FaninOff[p], fs.soa.FaninOff[p+1]
 	if off == end {
-		return evalWide[L](kind, nil)
+		return sim.EvalGateP(kind, nil)
 	}
 	w := vals[fan[off]]
 	switch kind {
 	case netlist.And, netlist.Nand:
 		for k := off + 1; k < end; k++ {
 			b := &vals[fan[k]]
-			for l := 0; l < len(w.zero); l++ {
-				w.zero[l] |= b.zero[l]
-				w.one[l] &= b.one[l]
-			}
+			w.Zero |= b.Zero
+			w.One &= b.One
 		}
 		if kind == netlist.Nand {
-			w = pword[L]{zero: w.one, one: w.zero}
+			w = sim.PVal{Zero: w.One, One: w.Zero}
 		}
 	case netlist.Or, netlist.Nor:
 		for k := off + 1; k < end; k++ {
 			b := &vals[fan[k]]
-			for l := 0; l < len(w.zero); l++ {
-				w.zero[l] &= b.zero[l]
-				w.one[l] |= b.one[l]
-			}
+			w.Zero &= b.Zero
+			w.One |= b.One
 		}
 		if kind == netlist.Nor {
-			w = pword[L]{zero: w.one, one: w.zero}
+			w = sim.PVal{Zero: w.One, One: w.Zero}
 		}
 	case netlist.Xor, netlist.Xnor:
 		for k := off + 1; k < end; k++ {
 			b := &vals[fan[k]]
-			for l := 0; l < len(w.zero); l++ {
-				known := (w.zero[l] | w.one[l]) & (b.zero[l] | b.one[l])
-				ones := (w.one[l] & b.zero[l]) | (w.zero[l] & b.one[l])
-				w.zero[l] = known &^ ones
-				w.one[l] = ones
-			}
+			known := (w.Zero | w.One) & (b.Zero | b.One)
+			ones := (w.One & b.Zero) | (w.Zero & b.One)
+			w.Zero = known &^ ones
+			w.One = ones
 		}
 		if kind == netlist.Xnor {
-			w = pword[L]{zero: w.one, one: w.zero}
+			w = sim.PVal{Zero: w.One, One: w.Zero}
 		}
 	case netlist.Not:
-		w = pword[L]{zero: w.one, one: w.zero}
+		w = sim.PVal{Zero: w.One, One: w.Zero}
 	case netlist.Buf, netlist.Output:
-		// w is already the single fanin's lane group.
+		// w is already the single fanin's word.
 	default:
 		in := bc.faninBuf[:end-off]
 		for k := off; k < end; k++ {
 			in[k-off] = vals[fan[k]]
 		}
-		w = evalWide(kind, in)
+		w = sim.EvalGateP(kind, in)
 	}
 	return w
 }
 
-// evalPos computes one position's lane group for the current frame —
-// reading fanins straight out of bc.vals, which the frame invariant
-// keeps current — and, when it diverges from the position's present
-// value, stores it, records the position as touched, and (in event
-// mode) schedules the combinational fanouts. In oblivious mode the
-// group is always stored and nothing is scheduled — the caller sweeps
-// every remaining position in topological order anyway. The return
-// value reports whether a parallel gate evaluation was performed
-// (false for Input/DFF loads, which the oblivious kernel never
-// counted).
+// evalPos computes one position's word for the current frame — reading
+// fanins straight out of bc.vals, which the frame invariant keeps
+// current — and, when it diverges from the position's present value,
+// stores it, records the position as touched, and (in event mode)
+// schedules the combinational fanouts. In oblivious mode the word is
+// always stored and nothing is scheduled — the caller sweeps every
+// remaining position in topological order anyway. The return value
+// reports whether a parallel gate evaluation was performed (false for
+// Input/DFF loads, which the oblivious kernel never counted).
 //
-// Gates carrying an injection take the generic gather + evalWide path
-// so the branch (input-pin) faults apply in one place.
-func evalPos[L lanes](fs *Simulator, bc *batchCtx[L], p int, row []sim.PVal, oblivious bool) bool {
+// Gates carrying a branch fault take the generic gather +
+// sim.EvalGateP path so the input-pin faults apply in one place.
+func evalPos(fs *Simulator, bc *batchCtx, p int, row []sim.PVal, oblivious bool) bool {
 	kind := fs.soa.Kind[p]
 	injs := bc.inject[p]
-	var w pword[L]
+	var w sim.PVal
 	evaluated := false
 	switch {
 	case kind == netlist.Input:
-		w = bcast[L](row[p])
+		w = row[p]
 	case kind == netlist.DFF:
 		w = bc.state[fs.soa.DFFAt[p]]
 	case len(injs) != 0:
 		// Injection site. Stem-only sites (the common case) fold
 		// straight over bc.vals like any other gate — the stem bits are
 		// patched onto the result below. Only branch (input-pin) faults
-		// need the gather-and-patch path through evalWide.
+		// need the gather-and-patch path.
 		evaluated = true
 		branch := false
 		for _, inj := range injs {
@@ -675,7 +497,7 @@ func evalPos[L lanes](fs *Simulator, bc *batchCtx[L], p int, row []sim.PVal, obl
 				break
 			}
 		}
-		if !branch && kind != netlist.Input && kind != netlist.DFF {
+		if !branch {
 			w = foldVals(fs, bc, p, kind)
 			break
 		}
@@ -686,10 +508,10 @@ func evalPos[L lanes](fs *Simulator, bc *batchCtx[L], p int, row []sim.PVal, obl
 		}
 		for _, inj := range injs {
 			if inj.pin >= 0 {
-				in[inj.pin].set(inj.bit, inj.sa)
+				in[inj.pin].Set(uint(inj.bit), inj.sa)
 			}
 		}
-		w = evalWide(kind, in)
+		w = sim.EvalGateP(kind, in)
 	default:
 		evaluated = true
 		w = foldVals(fs, bc, p, kind)
@@ -697,14 +519,14 @@ func evalPos[L lanes](fs *Simulator, bc *batchCtx[L], p int, row []sim.PVal, obl
 	// Stem fault injection on the gate output.
 	for _, inj := range injs {
 		if inj.pin < 0 {
-			w.set(inj.bit, inj.sa)
+			w.Set(uint(inj.bit), inj.sa)
 		}
 	}
 	if oblivious {
 		bc.vals[p] = w
 		return evaluated
 	}
-	if !w.eq(&bc.vals[p]) {
+	if !eq(w, bc.vals[p]) {
 		bc.vals[p] = w
 		bc.touched = append(bc.touched, int32(p))
 		for _, o := range fs.soa.Fout[fs.soa.FoutOff[p]:fs.soa.FoutOff[p+1]] {

@@ -7,11 +7,11 @@ import (
 	"seqatpg/internal/sim"
 )
 
-// DetectsParallel is Detects with the Width-fault batches fanned out
-// over a bounded worker pool. The good circuit is still simulated
-// exactly once; workers are handed pre-partitioned contiguous batch
-// ranges — one range per worker, no shared dispatch channel — and each
-// writes a disjoint slice of the result, so the detected slice is
+// DetectsParallel is Detects with the batches fanned out over a
+// bounded worker pool. The good circuit is still simulated exactly
+// once; workers are handed pre-partitioned contiguous batch ranges —
+// one range per worker, no shared dispatch channel — and each writes a
+// disjoint slice of the result, so the detected slice is
 // byte-identical to the serial Detects for every worker count. Worker
 // scheduling can reorder only the activity counters' accumulation, and
 // those are order-independent sums, merged once per worker.
@@ -28,18 +28,9 @@ func (fs *Simulator) DetectsParallel(ctx context.Context, seq [][]sim.Val, fault
 	return fs.detects(ctx, seq, faults, workers)
 }
 
-// detects validates the configured width, runs the shared good-circuit
-// simulation, and dispatches the batches to the lane-shape-specialized
-// kernel instantiation. ctx may be nil (the serial entry points).
+// detects runs the shared good-circuit simulation once and then the
+// batches. ctx may be nil (the serial entry points).
 func (fs *Simulator) detects(ctx context.Context, seq [][]sim.Val, faults []Fault, workers int) ([]bool, error) {
-	width := fs.Width
-	if width == WidthAuto {
-		width = fs.autoWidth()
-	}
-	lanes, err := lanesForWidth(width)
-	if err != nil {
-		return nil, err
-	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -52,15 +43,7 @@ func (fs *Simulator) detects(ctx context.Context, seq [][]sim.Val, faults []Faul
 	if len(faults) == 0 {
 		return detected, nil
 	}
-	switch lanes {
-	case 1:
-		err = runAll[[1]uint64](fs, ctx, seq, faults, detected, workers)
-	case 2:
-		err = runAll[[2]uint64](fs, ctx, seq, faults, detected, workers)
-	default:
-		err = runAll[[4]uint64](fs, ctx, seq, faults, detected, workers)
-	}
-	if err != nil {
+	if err := fs.runAll(ctx, seq, faults, detected, workers); err != nil {
 		return nil, err
 	}
 	return detected, nil
@@ -71,19 +54,15 @@ func (fs *Simulator) detects(ctx context.Context, seq [][]sim.Val, faults []Faul
 // call (counters merge once, on release) and reports into its own error
 // slot — no channels, no shared mutable state beyond the final atomic
 // stats merge.
-func runAll[L lanes](fs *Simulator, ctx context.Context, seq [][]sim.Val, faults []Fault, detected []bool, workers int) error {
-	per := faultsPerPass[L]()
-	nBatches := (len(faults) + per - 1) / per
+func (fs *Simulator) runAll(ctx context.Context, seq [][]sim.Val, faults []Fault, detected []bool, workers int) error {
+	nBatches := (len(faults) + FaultsPerPass - 1) / FaultsPerPass
 	if workers > nBatches {
 		workers = nBatches
 	}
-	// Replicate the good rows to this lane shape once, up front — the
-	// cache write must happen before any worker can read it.
-	rows := wideRows[L](fs)
 	if workers <= 1 {
-		bc := getBatchCtx[L](fs)
-		defer putBatchCtx(fs, bc)
-		return runRange(fs, bc, ctx, rows, seq, faults, detected, 0, nBatches)
+		bc := fs.getBatchCtx()
+		defer fs.putBatchCtx(bc)
+		return fs.runRange(bc, ctx, seq, faults, detected, 0, nBatches)
 	}
 	span := (nBatches + workers - 1) / workers
 	errs := make([]error, workers)
@@ -97,9 +76,9 @@ func runAll[L lanes](fs *Simulator, ctx context.Context, seq [][]sim.Val, faults
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bc := getBatchCtx[L](fs)
-			defer putBatchCtx(fs, bc)
-			errs[w] = runRange(fs, bc, ctx, rows, seq, faults, detected, lo, hi)
+			bc := fs.getBatchCtx()
+			defer fs.putBatchCtx(bc)
+			errs[w] = fs.runRange(bc, ctx, seq, faults, detected, lo, hi)
 		}()
 	}
 	wg.Wait()
@@ -113,17 +92,16 @@ func runAll[L lanes](fs *Simulator, ctx context.Context, seq [][]sim.Val, faults
 
 // runRange simulates batches [lo, hi), checking for cancellation
 // between batches.
-func runRange[L lanes](fs *Simulator, bc *batchCtx[L], ctx context.Context, rows [][]pword[L], seq [][]sim.Val, faults []Fault, detected []bool, lo, hi int) error {
-	per := faultsPerPass[L]()
+func (fs *Simulator) runRange(bc *batchCtx, ctx context.Context, seq [][]sim.Val, faults []Fault, detected []bool, lo, hi int) error {
 	for b := lo; b < hi; b++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		start := b * per
-		end := min(start+per, len(faults))
-		runBatch(fs, bc, rows, len(seq), faults[start:end], detected[start:end])
+		start := b * FaultsPerPass
+		end := min(start+FaultsPerPass, len(faults))
+		runBatch(fs, bc, len(seq), faults[start:end], detected[start:end])
 	}
 	return nil
 }

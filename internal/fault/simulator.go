@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -11,11 +12,11 @@ import (
 )
 
 // Simulator is a PROOFS-style bit-parallel sequential fault simulator.
-// Faulty circuits ride in wide words of W 64-bit lanes (a lane group);
-// a pass carries Width faults (63, 127 or 255 — one bit per fault,
-// with bit 0 reserved for the broadcast good value). All circuits start
-// at the all-X power-up state; test sequences are expected to begin
-// with the reset vector (plus the flush prefix for retimed circuits).
+// Faulty circuits ride in 64-bit two-rail words (sim.PVal); a pass
+// carries FaultsPerPass faults, one bit each, with bit 0 reserved for
+// the broadcast good value. All circuits start at the all-X power-up
+// state; test sequences are expected to begin with the reset vector
+// (plus the flush prefix for retimed circuits).
 //
 // The kernel exploits the PROOFS observation that faulty activity is
 // confined to the fault's fanout region:
@@ -24,7 +25,7 @@ import (
 //     event-driven scheduler and its per-frame values are shared,
 //     read-only, by every batch;
 //   - each batch evaluates only its active region — gates whose
-//     parallel lane group differs from the broadcast good value — via
+//     parallel word differs from the broadcast good value — via
 //     an event queue seeded at the injection sites and at flip-flops
 //     whose faulty state diverged, falling back to oblivious in-order
 //     evaluation when a frame's activity exceeds FallbackEvals;
@@ -56,83 +57,25 @@ type Simulator struct {
 	// while a Detects* call is running.
 	FallbackEvals int
 
-	// Width is the number of faults a single pass carries: 63 (one
-	// 64-bit lane), 127 (two lanes) or 255 (four lanes). Zero selects
-	// 63, the narrow kernel. Results are byte-identical for every
-	// width — wider lane groups only amortize the per-gate scheduling
-	// and memory traffic over more faults — so Width, like the worker
-	// count, is a machine-local throughput knob that must not affect
-	// checkpoints or effort accounting. Set before simulating; it must
-	// not change while a Detects* call is running.
-	Width int
-
 	// Good-circuit values per frame of the current sequence as
-	// broadcast words, shared read-only across batches. gDelta[t] lists
-	// the positions whose good value changed from frame t-1 to t — the
-	// positions a batch must refresh at the frame boundary to keep its
-	// vals invariant. gVals/gState/gPend are the event-driven good
-	// simulator's scratch state, all by position.
+	// broadcast words, shared read-only across batches: the source of a
+	// batch's frame fills and repairs, and the reference its divergence
+	// compares run against. gDelta[t] lists the positions whose good
+	// value changed from frame t-1 to t — the positions a batch must
+	// refresh at the frame boundary to keep its vals invariant.
+	// gVals/gState/gPend are the event-driven good simulator's scratch
+	// state, all by position.
 	goodRows [][]sim.PVal
 	gDelta   [][]int32
 	gVals    []sim.Val
 	gState   []sim.Val
 	gPend    []uint64 // pending-event bitset by position
 
-	// wrows caches goodRows replicated to each lane shape (a
-	// [][]pword[L] per slot, indexed by laneIdx like pools), rebuilt
-	// from goodRows at the start of every Detects* call and shared
-	// read-only by its batches as the bulk-fill source.
-	wrows [3]any
-
-	// pools holds the per-width batch-arena pools, indexed by
-	// laneIdx(W); workers each hold their own arena while running.
-	pools [3]sync.Pool
+	// pool holds the batch arenas; workers each hold their own arena
+	// while running.
+	pool sync.Pool
 
 	stats kernelStats
-}
-
-// Width values accepted by the kernel: faults per pass for lane groups
-// of one, two and four 64-bit words.
-const (
-	Width63  = 63
-	Width127 = 127
-	Width255 = 255
-	// WidthMax is the widest kernel: 255 faults per lane group. It does
-	// the fewest passes but unions 255 fault cones' active regions per
-	// batch, so it only wins when the active region has little to avoid.
-	WidthMax = Width255
-	// WidthAuto lets the simulator pick the width per call from its own
-	// measured activity (see autoWidth). Callers that only consume
-	// detection verdicts — which are byte-identical across widths —
-	// should prefer it.
-	WidthAuto = -1
-)
-
-// autoWideFrac is the avoided-work fraction below which WidthAuto
-// switches from the narrow event-driven kernel to the wide one.
-// Empirically the benchmark circuits sit well apart: the mid-size
-// control circuit avoids ~83% of the oblivious work at Width63 (narrow
-// is ~1.2x faster than wide there), while the small high-activity one
-// avoids ~59% (wide is ~1.3x faster). 0.7 splits the regimes with
-// margin on both sides.
-const autoWideFrac = 0.7
-
-// autoWidth resolves WidthAuto from the measured activity counters.
-// Narrow batches win while the active region avoids most of the
-// oblivious per-frame work: merging 255 fault cones into one batch
-// unions their active regions, which costs more than the 4x lane
-// packing saves. When avoidance drops below autoWideFrac — small or
-// high-activity circuits where per-batch fixed costs dominate — the
-// wide kernel's pass-count reduction wins instead. With no history yet
-// (first call, or right after ResetStats) it probes narrow, the
-// cheaper mistake on unknown workloads.
-func (fs *Simulator) autoWidth() int {
-	evals := atomic.LoadInt64(&fs.stats.gateEvals)
-	avoided := atomic.LoadInt64(&fs.stats.avoided)
-	if total := evals + avoided; total == 0 || float64(avoided) >= autoWideFrac*float64(total) {
-		return Width63
-	}
-	return Width255
 }
 
 // kernelStats holds the monotone activity counters. Workers accumulate
@@ -158,7 +101,7 @@ type kernelStats struct {
 // Reset (or since construction).
 type Stats struct {
 	Sequences int64 // good-circuit sequence simulations
-	Batches   int64 // fault-batch passes (up to Width faults each)
+	Batches   int64 // fault-batch passes (up to FaultsPerPass faults each)
 	Frames    int64 // batch frames simulated (before early exits)
 	Events    int64 // gate events processed by the active-region scheduler
 	GoodEvals int64 // scalar gate evaluations in the shared good simulation
@@ -210,21 +153,6 @@ func NewSimulator(c *netlist.Circuit) (*Simulator, error) {
 // SoA exposes the flattened circuit view the kernel runs on.
 func (fs *Simulator) SoA() *netlist.SoA { return fs.soa }
 
-// lanesForWidth maps a Width value to its lane count (64-bit words per
-// lane group).
-func lanesForWidth(width int) (int, error) {
-	switch width {
-	case 0, Width63:
-		return 1, nil
-	case Width127:
-		return 2, nil
-	case Width255:
-		return 4, nil
-	default:
-		return 0, fmt.Errorf("fault: width %d, want %d, %d or %d", width, Width63, Width127, Width255)
-	}
-}
-
 // fallbackThreshold resolves FallbackEvals: 0 means three quarters of
 // the oblivious per-frame work, negative means never fall back.
 func (fs *Simulator) fallbackThreshold() int {
@@ -273,7 +201,7 @@ var (
 // and faulty values both binary and different). Each input vector must
 // have one value per primary input.
 //
-// Faults are batched Width at a time in the order given.
+// Faults are batched FaultsPerPass at a time in the order given.
 // CollapsedUniverse emits faults gate by gate, so consecutive faults
 // already share fanout cones — the locality the active region feeds on.
 func (fs *Simulator) Detects(seq [][]sim.Val, faults []Fault) ([]bool, error) {
@@ -282,17 +210,15 @@ func (fs *Simulator) Detects(seq [][]sim.Val, faults []Fault) ([]bool, error) {
 
 // DetectsOne is the single-fault fast path used by the engines to
 // confirm a candidate test: one injection bit, one active region, and
-// the batch terminates at the first detecting frame. It always runs the
-// one-lane kernel — no wide batch is spun up around the lone fault.
+// the batch terminates at the first detecting frame.
 func (fs *Simulator) DetectsOne(seq [][]sim.Val, f Fault) (bool, error) {
 	if err := fs.simulateGood(seq); err != nil {
 		return false, err
 	}
 	var detected [1]bool
-	rows := wideRows[[1]uint64](fs)
-	bc := getBatchCtx[[1]uint64](fs)
-	defer putBatchCtx(fs, bc)
-	runBatch(fs, bc, rows, len(seq), []Fault{f}, detected[:])
+	bc := fs.getBatchCtx()
+	defer fs.putBatchCtx(bc)
+	runBatch(fs, bc, len(seq), []Fault{f}, detected[:])
 	return detected[0], nil
 }
 
@@ -476,11 +402,21 @@ func Summarize(detected []bool) Coverage {
 	return cov
 }
 
+// ErrStateTooWide is returned by StateTrace for a circuit with more
+// than sim.MaxStateBits DFFs: its states do not fit the packed uint64
+// the trace records, and counting them anyway would alias distinct
+// states.
+var ErrStateTooWide = errors.New("fault: state trace packs at most 64 DFFs")
+
 // StateTrace applies the sequence to the good circuit from power-up and
 // returns the set of fully specified states traversed (as packed DFF bit
 // vectors). This is the instrument behind the paper's "#states
-// traversed by original test set" column (Table 8).
+// traversed by original test set" column (Table 8). Circuits with more
+// than sim.MaxStateBits DFFs fail with ErrStateTooWide.
 func StateTrace(c *netlist.Circuit, seq [][]sim.Val) (map[uint64]bool, error) {
+	if n := c.NumDFFs(); n > sim.MaxStateBits {
+		return nil, fmt.Errorf("%w: circuit has %d", ErrStateTooWide, n)
+	}
 	s, err := sim.NewSimulator(c)
 	if err != nil {
 		return nil, err

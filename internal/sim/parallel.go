@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"seqatpg/internal/netlist"
-)
+import "seqatpg/internal/netlist"
 
 // PVal is a 64-way parallel three-valued word in two-rail encoding:
 // bit i of Zero means pattern i is 0, bit i of One means pattern i is 1,
@@ -12,9 +8,6 @@ import (
 type PVal struct {
 	Zero, One uint64
 }
-
-// PX returns a word of 64 X values.
-func PX() PVal { return PVal{} }
 
 // PConst returns a word with all 64 patterns at the same binary value.
 func PConst(v Val) PVal {
@@ -25,18 +18,6 @@ func PConst(v Val) PVal {
 		return PVal{One: ^uint64(0)}
 	default:
 		return PVal{}
-	}
-}
-
-// Get extracts pattern i's value from the word.
-func (p PVal) Get(i uint) Val {
-	switch {
-	case (p.Zero>>i)&1 == 1:
-		return V0
-	case (p.One>>i)&1 == 1:
-		return V1
-	default:
-		return VX
 	}
 }
 
@@ -108,82 +89,6 @@ func EvalGateP(t netlist.GateType, in []PVal) PVal {
 	case netlist.Const1:
 		return PConst(V1)
 	default:
-		return PX()
+		return PVal{} // all X
 	}
-}
-
-// PSim is a 64-way parallel-pattern sequential simulator: 64 independent
-// pattern streams advance in lockstep through the same circuit.
-type PSim struct {
-	c     *netlist.Circuit
-	order []int
-	vals  []PVal
-	state []PVal
-}
-
-// NewPSim builds a parallel simulator with all 64 streams powered up at X.
-func NewPSim(c *netlist.Circuit) (*PSim, error) {
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	return &PSim{
-		c:     c,
-		order: order,
-		vals:  make([]PVal, len(c.Gates)),
-		state: make([]PVal, len(c.DFFs)),
-	}, nil
-}
-
-// PowerUp resets all 64 streams to the all-X state.
-func (s *PSim) PowerUp() {
-	for i := range s.state {
-		s.state[i] = PX()
-	}
-}
-
-// Step advances all streams one cycle and returns PO words.
-func (s *PSim) Step(inputs []PVal) ([]PVal, error) {
-	if len(inputs) != len(s.c.PIs) {
-		return nil, fmt.Errorf("sim: %d parallel inputs, want %d", len(inputs), len(s.c.PIs))
-	}
-	for i, id := range s.c.PIs {
-		s.vals[id] = inputs[i]
-	}
-	for i, id := range s.c.DFFs {
-		s.vals[id] = s.state[i]
-	}
-	for _, id := range s.order {
-		g := s.c.Gates[id]
-		switch g.Type {
-		case netlist.Input, netlist.DFF:
-			continue
-		default:
-			in := make([]PVal, len(g.Fanin))
-			for k, f := range g.Fanin {
-				in[k] = s.vals[f]
-			}
-			s.vals[id] = EvalGateP(g.Type, in)
-		}
-	}
-	outs := make([]PVal, len(s.c.POs))
-	for i, id := range s.c.POs {
-		outs[i] = s.vals[id]
-	}
-	for i, id := range s.c.DFFs {
-		s.state[i] = s.vals[s.c.Gates[id].Fanin[0]]
-	}
-	return outs, nil
-}
-
-// State returns a copy of the parallel DFF words.
-func (s *PSim) State() []PVal { return append([]PVal(nil), s.state...) }
-
-// SetState forces the parallel DFF words (must match NumDFFs in length).
-func (s *PSim) SetState(vals []PVal) error {
-	if len(vals) != len(s.state) {
-		return fmt.Errorf("sim: parallel state width %d, want %d", len(vals), len(s.state))
-	}
-	copy(s.state, vals)
-	return nil
 }

@@ -206,9 +206,17 @@ func (s *Simulator) StateKnown() bool {
 	return true
 }
 
+// MaxStateBits is the widest state StateBits can pack: one bit per DFF
+// in a uint64.
+const MaxStateBits = 64
+
 // StateBits packs a fully known state into a bit vector (bit i = DFF i).
-// The second result is false when any DFF is X.
+// The second result is false when any DFF is X, or when the circuit has
+// more than MaxStateBits DFFs, whose states would not fit.
 func (s *Simulator) StateBits() (uint64, bool) {
+	if len(s.state) > MaxStateBits {
+		return 0, false
+	}
 	var out uint64
 	for i, v := range s.state {
 		switch v {

@@ -91,6 +91,32 @@ func TestStateBits(t *testing.T) {
 	}
 }
 
+// TestStateBitsTooWide: a known state of more than MaxStateBits DFFs
+// does not fit the packed word, so it must not pack (1<<64 would alias
+// DFF 64 onto nothing).
+func TestStateBitsTooWide(t *testing.T) {
+	c := netlist.New("wide")
+	in := c.AddGate(netlist.Input, "in")
+	for i := 0; i <= MaxStateBits; i++ {
+		c.AddGate(netlist.Output, "", c.AddGate(netlist.DFF, "", in))
+	}
+	s, err := NewSimulator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := make([]Val, MaxStateBits+1)
+	for i := range state {
+		state[i] = V0
+	}
+	state[MaxStateBits] = V1
+	if err := s.SetState(state); err != nil {
+		t.Fatal(err)
+	}
+	if bits, ok := s.StateBits(); ok {
+		t.Errorf("%d-DFF state packed as %#x", len(state), bits)
+	}
+}
+
 func TestEvalDoesNotClock(t *testing.T) {
 	c := toggle(t)
 	s, _ := NewSimulator(c)
@@ -113,7 +139,8 @@ func TestSimulatorWidthErrors(t *testing.T) {
 }
 
 // randomComb builds a random combinational circuit over nIn inputs with
-// nGates gates, one output observing the last gate.
+// nGates gates of up to three fanins, one output observing the last
+// gate.
 func randomComb(rng *rand.Rand, nIn, nGates int) *netlist.Circuit {
 	c := netlist.New("rand")
 	for i := 0; i < nIn; i++ {
@@ -121,9 +148,9 @@ func randomComb(rng *rand.Rand, nIn, nGates int) *netlist.Circuit {
 	}
 	last := 0
 	for i := 0; i < nGates; i++ {
-		types := []netlist.GateType{netlist.And, netlist.Or, netlist.Nand, netlist.Nor, netlist.Xor, netlist.Not}
+		types := []netlist.GateType{netlist.And, netlist.Or, netlist.Nand, netlist.Nor, netlist.Xor, netlist.Xnor, netlist.Not}
 		gt := types[rng.Intn(len(types))]
-		n := 2
+		n := 2 + rng.Intn(2)
 		if gt == netlist.Not {
 			n = 1
 		}
@@ -137,44 +164,50 @@ func randomComb(rng *rand.Rand, nIn, nGates int) *netlist.Circuit {
 	return c
 }
 
-// Property: parallel simulation agrees with 64 scalar simulations.
+// Property: evaluating a circuit on 64 patterns packed into PVal words
+// with EvalGateP agrees, gate by gate, with 64 scalar simulations.
 func TestParallelMatchesScalar(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomComb(rng, 4, 12)
-		if err := c.Validate(); err != nil {
-			return true // skip rare invalid randoms (shouldn't happen)
-		}
-		ps, err := NewPSim(c)
+		order, err := c.TopoOrder()
 		if err != nil {
 			return false
 		}
 		// 64 random scalar input vectors, packed.
 		scalarIn := make([][]Val, 64)
-		packed := make([]PVal, 4)
+		words := make([]PVal, len(c.Gates))
 		for p := 0; p < 64; p++ {
-			scalarIn[p] = make([]Val, 4)
-			for i := 0; i < 4; i++ {
+			scalarIn[p] = make([]Val, len(c.PIs))
+			for i, id := range c.PIs {
 				v := Val(rng.Intn(3))
 				scalarIn[p][i] = v
-				packed[i].Set(uint(p), v)
+				words[id].Set(uint(p), v)
 			}
 		}
-		pouts, err := ps.Step(packed)
-		if err != nil {
-			return false
+		for _, id := range order {
+			g := c.Gates[id]
+			if g.Type == netlist.Input {
+				continue
+			}
+			in := make([]PVal, len(g.Fanin))
+			for k, f := range g.Fanin {
+				in[k] = words[f]
+			}
+			words[id] = EvalGateP(g.Type, in)
 		}
 		for p := 0; p < 64; p++ {
 			s, err := NewSimulator(c)
 			if err != nil {
 				return false
 			}
-			souts, err := s.Step(scalarIn[p])
-			if err != nil {
+			if _, err := s.Step(scalarIn[p]); err != nil {
 				return false
 			}
-			if pouts[0].Get(uint(p)) != souts[0] {
-				return false
+			for id := range c.Gates {
+				if get(words[id], uint(p)) != s.Value(id) {
+					return false
+				}
 			}
 		}
 		return true
@@ -184,19 +217,31 @@ func TestParallelMatchesScalar(t *testing.T) {
 	}
 }
 
+// get extracts pattern i's value from a parallel word.
+func get(p PVal, i uint) Val {
+	switch {
+	case (p.Zero>>i)&1 == 1:
+		return V0
+	case (p.One>>i)&1 == 1:
+		return V1
+	default:
+		return VX
+	}
+}
+
 func TestPValEncoding(t *testing.T) {
 	var p PVal
 	p.Set(3, V1)
 	p.Set(5, V0)
-	if p.Get(3) != V1 || p.Get(5) != V0 || p.Get(0) != VX {
+	if get(p, 3) != V1 || get(p, 5) != V0 || get(p, 0) != VX {
 		t.Error("PVal set/get broken")
 	}
 	p.Set(3, V0)
-	if p.Get(3) != V0 {
+	if get(p, 3) != V0 {
 		t.Error("PVal overwrite broken")
 	}
 	p.Set(3, VX)
-	if p.Get(3) != VX {
+	if get(p, 3) != VX {
 		t.Error("PVal X overwrite broken")
 	}
 }
@@ -215,44 +260,6 @@ func TestTwoRailNeverIllegal(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestParallelSequentialStreams(t *testing.T) {
-	c := toggle(t)
-	ps, err := NewPSim(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps.PowerUp()
-	// Stream 0: state=0, in=1 (toggles to 1). Stream 1: state=1, in=0
-	// (holds 1). Stream 2 stays X.
-	st := ps.State()
-	st[0].Set(0, V0)
-	st[0].Set(1, V1)
-	if err := ps.SetState(st); err != nil {
-		t.Fatal(err)
-	}
-	var in PVal
-	in.Set(0, V1)
-	in.Set(1, V0)
-	in.Set(2, V1)
-	if _, err := ps.Step([]PVal{in}); err != nil {
-		t.Fatal(err)
-	}
-	got := ps.State()[0]
-	if got.Get(0) != V1 || got.Get(1) != V1 || got.Get(2) != VX {
-		t.Errorf("stream states = %v %v %v", got.Get(0), got.Get(1), got.Get(2))
-	}
-}
-
-func TestPSimStateIsCopy(t *testing.T) {
-	c := toggle(t)
-	ps, _ := NewPSim(c)
-	st := ps.State()
-	st[0].Set(0, V1)
-	if ps.State()[0].Get(0) != VX {
-		t.Error("State must return a copy")
 	}
 }
 
@@ -301,7 +308,7 @@ func TestEvalGatePConsistent(t *testing.T) {
 				var pa, pb PVal
 				pa.Set(5, a)
 				pb.Set(5, b)
-				got := EvalGateP(gt, []PVal{pa, pb}).Get(5)
+				got := get(EvalGateP(gt, []PVal{pa, pb}), 5)
 				if got != want {
 					t.Errorf("%v(%v,%v): parallel %v, scalar %v", gt, a, b, got, want)
 				}

@@ -19,9 +19,6 @@
 #   speedup_w8        Workers/w1 over Workers/w8 wall time — the real
 #                     parallel speedup on this host. Bounded by the
 #                     host's core count: 1.0 on a single-CPU container.
-#   wide_vs_narrow    WideWord/w63 over WideWord/w255 — >1 where the
-#                     wide kernel wins (high-activity circuits), <1
-#                     where the active region feeds on narrow batches.
 #   active_vs_obliv   oblivious over active — how much the event-driven
 #                     active region saves over full per-frame sweeps.
 #
@@ -32,9 +29,11 @@
 #     multi-core host and a dispatch-overhead regression trips it
 #     everywhere);
 #   - active must beat oblivious (the active-region machinery must pay
-#     for itself);
-#   - w255 must stay within 1.75x of w63 (wide-kernel sanity — a
-#     broken wide path regresses far past that).
+#     for itself).
+#
+# The JSON also records the host: "cpus" (online processors) and
+# "gomaxprocs" (the -N suffix go test put on the benchmark names), so
+# the worker rows can be read against the parallelism they really had.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -46,10 +45,12 @@ printf '%s\n' "$out"
 printf '%s\n' "$out" | awk \
 	-v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 	-v gover="$(go env GOVERSION)" \
+	-v cpus="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)" \
 	-v seed="$seed_baseline_ns" \
 	-v gate="${BENCH_GATE:-0}" '
 /^Benchmark/ {
 	name = $1
+	if (gomaxprocs == "") gomaxprocs = match(name, /-[0-9]+$/) ? substr(name, RSTART + 1) : 1
 	sub(/-[0-9]+$/, "", name)
 	sub(/^Benchmark/, "", name)
 	metrics = ""
@@ -64,14 +65,15 @@ function ratio(a, b) { return (a in ns && b in ns && ns[b] > 0) ? ns[a] / ns[b] 
 END {
 	speedup_vs_seed = ("ParallelFaultSim" in ns && ns["ParallelFaultSim"] > 0) ? seed / ns["ParallelFaultSim"] : 0
 	speedup_w8 = ratio("ParallelFaultSimWorkers/w1", "ParallelFaultSimWorkers/w8")
-	wide_vs_narrow = ratio("WideWord/w63", "WideWord/w255")
 	active_vs_obliv = ratio("ActiveRegionVsOblivious/oblivious", "ActiveRegionVsOblivious/active")
 	print "{" > "BENCH_fsim.json"
 	print "  \"generated\": \"" date "\"," > "BENCH_fsim.json"
 	print "  \"go\": \"" gover "\"," > "BENCH_fsim.json"
+	print "  \"cpus\": " cpus "," > "BENCH_fsim.json"
+	print "  \"gomaxprocs\": " (gomaxprocs == "" ? 0 : gomaxprocs) "," > "BENCH_fsim.json"
 	print "  \"seed_baseline_ns\": " seed "," > "BENCH_fsim.json"
-	printf "  \"derived\": {\"speedup_vs_seed\": %.3f, \"speedup_w8\": %.3f, \"wide_vs_narrow\": %.3f, \"active_vs_obliv\": %.3f},\n", \
-		speedup_vs_seed, speedup_w8, wide_vs_narrow, active_vs_obliv > "BENCH_fsim.json"
+	printf "  \"derived\": {\"speedup_vs_seed\": %.3f, \"speedup_w8\": %.3f, \"active_vs_obliv\": %.3f},\n", \
+		speedup_vs_seed, speedup_w8, active_vs_obliv > "BENCH_fsim.json"
 	print "  \"benchmarks\": [" > "BENCH_fsim.json"
 	for (i = 0; i < n; i++) print rec[i] (i < n - 1 ? "," : "") > "BENCH_fsim.json"
 	print "  ]" > "BENCH_fsim.json"
@@ -86,13 +88,9 @@ END {
 			printf "GATE FAIL: active-region kernel slower than oblivious (%.2fx)\n", 1 / active_vs_obliv
 			fails++
 		}
-		if (wide_vs_narrow > 0 && wide_vs_narrow < 1 / 1.75) {
-			printf "GATE FAIL: w255 is %.2fx slower than w63 (limit 1.75x)\n", 1 / wide_vs_narrow
-			fails++
-		}
 		if (fails) exit 1
-		printf "GATE OK: speedup_w8 %.2f, active/oblivious %.2f, w255/w63 %.2f\n", \
-			speedup_w8, active_vs_obliv, 1 / (wide_vs_narrow ? wide_vs_narrow : 1)
+		printf "GATE OK: speedup_w8 %.2f, active/oblivious %.2f\n", \
+			speedup_w8, active_vs_obliv
 	}
 }'
 
