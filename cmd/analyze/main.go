@@ -27,6 +27,8 @@ import (
 	"text/tabwriter"
 
 	"seqatpg/internal/analyze"
+	"seqatpg/internal/atpg"
+	"seqatpg/internal/campaign"
 	"seqatpg/internal/fault"
 	"seqatpg/internal/netlist"
 	"seqatpg/internal/predict"
@@ -141,9 +143,9 @@ func run() int {
 // next to the predictor's verdict on them — the predicted cost in gate
 // evaluations, the retry-ladder rung a scheduled campaign would start
 // it at, and the queue it would run in (queue 0 is the easy-first
-// stream; higher queues are the concurrent big-budget ones). The rung
-// and queue mirror campaign.RunScheduled exactly, so this table is the
-// dry-run view of what -schedule would do.
+// stream; higher queues are the concurrent big-budget ones). The queue
+// is read off campaign.PlanScheduled, the plan atpg -schedule runs, so
+// this table is the dry-run view of what -schedule would do.
 func printPredictTable(c *netlist.Circuit, budget int64, retries int) error {
 	if budget == 0 {
 		budget = 8000 * int64(c.NumGates())
@@ -161,6 +163,19 @@ func printPredictTable(c *netlist.Circuit, budget int64, retries int) error {
 		return err
 	}
 	plan := predict.NewPlan(fs, nil, budget, retries)
+	sched, err := campaign.PlanScheduled(c, faults, campaign.Config{
+		Engine:  atpg.Config{FaultBudget: budget, FlushCycles: flush},
+		Retries: retries,
+	}, campaign.SchedConfig{WithDensity: true, RungBudgets: true})
+	if err != nil {
+		return err
+	}
+	queue := make([]int, len(faults))
+	for q, part := range sched {
+		for _, i := range part.Indices {
+			queue[i] = q
+		}
+	}
 
 	hard := 0
 	for _, h := range plan.Hard {
@@ -181,19 +196,7 @@ func printPredictTable(c *netlist.Circuit, budget int64, retries int) error {
 	for i, f := range fs.Faults {
 		fmt.Fprintf(w, "%v\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.4g\t%d\t%d\t\n",
 			faults[i], f.CC0, f.CC1, f.CCAct, f.Obs, f.SeqDepth, f.FFRSize, f.Fanout,
-			plan.Scores[i], plan.Rungs[i], queueOf(plan, i))
+			plan.Scores[i], plan.Rungs[i], queue[i])
 	}
 	return w.Flush()
-}
-
-// queueOf mirrors campaign.RunScheduled's queue assignment: the ladder
-// rung when rung budgets are in play, else the easy/hard split.
-func queueOf(plan *predict.Plan, i int) int {
-	if plan.Rungs[i] > 0 {
-		return plan.Rungs[i]
-	}
-	if plan.Hard[i] {
-		return 1
-	}
-	return 0
 }

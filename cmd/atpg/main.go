@@ -198,10 +198,14 @@ func run() int {
 	}
 	var res *campaign.Result
 	if *schedule {
-		res, err = campaign.RunScheduled(ctx, c, faults, ccfg, campaign.SchedConfig{
+		var plan campaign.Plan
+		plan, err = campaign.PlanScheduled(c, faults, ccfg, campaign.SchedConfig{
 			WithDensity: true,
 			RungBudgets: true,
 		})
+		if err == nil {
+			res, err = campaign.Execute(ctx, c, faults, plan)
+		}
 	} else {
 		res, err = campaign.Run(ctx, c, faults, ccfg)
 	}

@@ -1,10 +1,11 @@
 // Command coord runs a federated ATPG campaign across a fleet of
 // `serve` workers: it splits the collapsed fault universe into the
-// same deterministic shards campaign.RunSharded uses, dispatches each
-// shard as a job over the workers' JSON API, holds dispatched shards
-// under heartbeat-renewed leases, re-dispatches lost shards from their
-// last durable checkpoint, and merges the shard results into a global
-// report identical to a single-node run (see internal/fabric).
+// shards of a deterministic campaign.Plan (round-robin, or balanced by
+// predicted cost with -balance), dispatches each shard as a job over
+// the workers' JSON API, holds dispatched shards under heartbeat-renewed
+// leases, re-dispatches lost shards from their last durable checkpoint,
+// and merges the shard results into a global report identical to a
+// single-node run (see internal/fabric).
 //
 // Usage:
 //

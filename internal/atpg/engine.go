@@ -106,7 +106,7 @@ type Config struct {
 	// pure function of (circuit, config, fault) — independent of which
 	// other faults share the run — which is what lets a sharded
 	// campaign partition the fault list arbitrarily and still merge to
-	// identical verdicts (see campaign.RunSharded). It is incompatible
+	// identical verdicts (see campaign.Plan). It is incompatible
 	// with the random preprocessing phase, whose only effect is
 	// dropping faults.
 	NoFaultDrop bool

@@ -53,25 +53,25 @@ type Config struct {
 	Resume bool
 	// Hook is forwarded to every engine pass as its TestHook, with the
 	// index remapped to the original fault list. Test instrumentation
-	// only; it is not fingerprinted. Under RunSharded it is invoked
-	// concurrently from all shard workers.
+	// only; it is not fingerprinted. Under Execute it is invoked
+	// concurrently from all partition workers.
 	Hook func(index int, f fault.Fault)
 	// Log, when set, receives progress lines (pass starts, checkpoint
-	// writes, crash notices). RunSharded serializes concurrent shard
+	// writes, crash notices). Execute serializes concurrent partition
 	// logging before it reaches this callback.
 	Log func(format string, args ...any)
 	// OnCheckpoint, when set, is called after every successful
 	// checkpoint write (periodic, pass-boundary or interruption).
 	// Observability instrumentation only; it is not fingerprinted.
-	// Under RunSharded it is invoked concurrently from all shard
+	// Under Execute it is invoked concurrently from all partition
 	// workers.
 	OnCheckpoint func()
 	// OnCheckpointFailure, when set, is called after every failed
 	// checkpoint write with the error. Failed writes do not abort the
 	// campaign — the run is marked degraded and the write is retried
 	// at the next checkpoint interval. Observability only; not
-	// fingerprinted. Under RunSharded it is invoked concurrently from
-	// all shard workers.
+	// fingerprinted. Under Execute it is invoked concurrently from
+	// all partition workers.
 	OnCheckpointFailure func(error)
 	// FS is the filesystem seam all checkpoint I/O (and the Validate
 	// probe) goes through; nil selects the real filesystem

@@ -1,11 +1,8 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"sort"
-	"sync"
 
 	"seqatpg/internal/fault"
 	"seqatpg/internal/netlist"
@@ -14,8 +11,8 @@ import (
 
 // SchedConfig tunes testability-aware scheduling. All of it obeys the
 // predict package's soundness rule: scheduling may reorder faults and
-// shape budgets, never decide verdicts — RunScheduled's outcomes are
-// the same as an unscheduled normalized run's, pinned by tests.
+// shape budgets, never decide verdicts — a scheduled plan's outcomes
+// are the same as an unscheduled normalized run's, pinned by tests.
 //
 // None of these knobs enter the checkpoint fingerprint. What the
 // fingerprint binds is what actually executes per queue: the engine
@@ -30,8 +27,6 @@ type SchedConfig struct {
 	// (bounded BDD reachability, graceful fallback on blow-up) into
 	// the predictor.
 	WithDensity bool
-	// DensityMaxNodes bounds the density BDD (0 = predict's default).
-	DensityMaxNodes int
 	// RungBudgets starts each fault at the ladder rung its predicted
 	// cost calls for, instead of making every hard fault climb from
 	// the bottom: a fault predicted to need 4x the base budget runs
@@ -44,24 +39,22 @@ type SchedConfig struct {
 	RungBudgets bool
 }
 
-// RunScheduled executes a campaign with testability-aware scheduling:
-// faults are scored by the predictor, ordered easy-first, and
-// predicted-hard faults are routed to a separate big-budget queue that
-// runs concurrently — a pathological fault can no longer serialize a
-// whole campaign behind it. Scheduling implies the same normalization
-// as RunSharded (verdicts must be order-invariant to be reorderable),
-// and the result is merged back in canonical fault order with the same
-// deferred global fault-drop pass.
-func RunScheduled(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, cfg Config, sched SchedConfig) (*Result, error) {
+// PlanScheduled builds the testability-aware plan: faults are scored by
+// the predictor, ordered easy-first, and predicted-hard faults are
+// routed to separate big-budget queues that run concurrently, so a
+// pathological fault can no longer serialize a whole campaign behind
+// it. Queue q holds the faults planned at ladder rung q, each queue
+// ordered by ascending score, stable on index; a predicted-hard fault
+// left at rung 0 (rung budgets off, or no retries to skip) goes to
+// queue 1. With rung budgets queue q runs the campaign's pass-q config
+// with the remaining escalation passes, so every fault's final budget
+// matches the unscheduled ladder's exactly; every other queue runs the
+// base config.
+func PlanScheduled(c *netlist.Circuit, faults []fault.Fault, cfg Config, sched SchedConfig) (Plan, error) {
 	cfg = NormalizeForSharding(cfg)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-
 	fs, err := predict.Extract(c, faults, predict.Options{
-		WithDensity:     sched.WithDensity,
-		DensityMaxNodes: sched.DensityMaxNodes,
-		FlushCycles:     cfg.Engine.FlushCycles,
+		WithDensity: sched.WithDensity,
+		FlushCycles: cfg.Engine.FlushCycles,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: feature extraction: %w", err)
@@ -70,121 +63,36 @@ func RunScheduled(ctx context.Context, c *netlist.Circuit, faults []fault.Fault,
 	if sched.RungBudgets {
 		maxRung = cfg.Retries
 	}
-	plan := predict.NewPlan(fs, sched.Predictor, cfg.Engine.FaultBudget, maxRung)
-	idxs := queueIndices(plan)
-	logQueues(cfg, fs, plan, idxs)
+	pp := predict.NewPlan(fs, sched.Predictor, cfg.Engine.FaultBudget, maxRung)
 
-	// Serialize queue logging, as RunSharded does for shards.
-	if cfg.Log != nil {
-		var logMu sync.Mutex
-		inner := cfg.Log
-		cfg.Log = func(format string, args ...any) {
-			logMu.Lock()
-			defer logMu.Unlock()
-			inner(format, args...)
+	idxs := [][]int{nil}
+	for i, rung := range pp.Rungs {
+		q := rung
+		if q == 0 && pp.Hard[i] {
+			q = 1
 		}
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	nq := len(idxs)
-	results := make([]*Result, nq)
-	errs := make([]error, nq)
-	var wg sync.WaitGroup
-	for q := 0; q < nq; q++ {
-		if len(idxs[q]) == 0 {
-			continue
+		for len(idxs) <= q {
+			idxs = append(idxs, nil)
 		}
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			qcfg := queueConfig(cfg, q, sched.RungBudgets)
-			results[q], errs[q] = runPartition(ctx, c, faults, qcfg, idxs[q],
-				fmt.Sprintf(".schedq%d-of-%d", q, nq), fmt.Sprintf("queue %d/%d", q, nq))
-			if errs[q] != nil {
-				cancel()
-			}
-		}(q)
-	}
-	wg.Wait()
-	for q, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("campaign: scheduled queue %d/%d: %w", q, nq, err)
-		}
-	}
-
-	merged := MergeShardResults(faults, idxs, results)
-	if !merged.Interrupted {
-		if err := UpgradeAborted(c, faults, merged, cfg.fsimWorkers()); err != nil {
-			return nil, fmt.Errorf("campaign: merge fault simulation: %w", err)
-		}
-	}
-	return merged, nil
-}
-
-// queueIndices partitions fault indices by their planned ladder rung
-// (queue 0 = easy, higher queues = predicted-hard), each queue ordered
-// easy-first (ascending score, stable on index). Without rung budgets
-// every rung is 0, so the hard flag alone splits easy from hard.
-func queueIndices(plan *predict.Plan) [][]int {
-	nq := 1
-	for i := range plan.Rungs {
-		q := queueOf(plan, i)
-		if q+1 > nq {
-			nq = q + 1
-		}
-	}
-	idxs := make([][]int, nq)
-	for i := range plan.Rungs {
-		q := queueOf(plan, i)
 		idxs[q] = append(idxs[q], i)
 	}
-	for q := range idxs {
-		ix := idxs[q]
-		sort.SliceStable(ix, func(a, b int) bool {
-			if plan.Scores[ix[a]] != plan.Scores[ix[b]] {
-				return plan.Scores[ix[a]] < plan.Scores[ix[b]]
-			}
-			return ix[a] < ix[b]
-		})
-	}
-	return idxs
-}
-
-// queueOf maps a fault to its queue: its ladder rung, or the two-queue
-// easy/hard split when the plan carries no rungs.
-func queueOf(plan *predict.Plan, i int) int {
-	if plan.Rungs[i] > 0 {
-		return plan.Rungs[i]
-	}
-	if plan.Hard[i] {
-		return 1
-	}
-	return 0
-}
-
-// queueConfig derives queue q's campaign config. With rung budgets the
-// queue starts the ladder at rung q — base budget << q with the
-// remaining escalation passes — so its final per-fault budget matches
-// the unscheduled ladder's exactly.
-func queueConfig(cfg Config, q int, rungBudgets bool) Config {
-	if !rungBudgets || q == 0 {
-		return cfg
-	}
-	qcfg := cfg
-	if qcfg.Engine.FaultBudget > 0 {
-		if qcfg.Engine.FaultBudget > math.MaxInt64>>uint(q) {
-			qcfg.Engine.FaultBudget = math.MaxInt64
-		} else {
-			qcfg.Engine.FaultBudget <<= uint(q)
+	plan := make(Plan, len(idxs))
+	for q, ix := range idxs {
+		sort.SliceStable(ix, func(a, b int) bool { return pp.Scores[ix[a]] < pp.Scores[ix[b]] })
+		qcfg := cfg
+		if q <= maxRung {
+			qcfg.Engine = cfg.passConfig(q)
+			qcfg.Retries = cfg.Retries - q
+		}
+		plan[q] = Partition{
+			Indices: ix,
+			Config:  qcfg,
+			Suffix:  fmt.Sprintf(".schedq%d-of-%d", q, len(idxs)),
+			Name:    fmt.Sprintf("queue %d/%d", q, len(idxs)),
 		}
 	}
-	qcfg.Retries = cfg.Retries - q
-	if qcfg.Retries < 0 {
-		qcfg.Retries = 0
-	}
-	return qcfg
+	logQueues(cfg, fs, pp, idxs)
+	return plan, nil
 }
 
 func logQueues(cfg Config, fs *predict.FeatureSet, plan *predict.Plan, idxs [][]int) {

@@ -29,7 +29,7 @@ import (
 //	easyfirst    one queue ordered by predicted score — no hard queue;
 //	             a pure reordering, so the makespan is unchanged and
 //	             only the latency distribution moves.
-//	hardqueue    the RunScheduled plan: per-rung queues running
+//	hardqueue    the PlanScheduled plan: per-rung queues running
 //	             concurrently, each starting the ladder at its rung.
 //
 // Reported metrics (all /op suffixed by the harness):
@@ -59,7 +59,11 @@ func BenchmarkSched(b *testing.B) {
 		b.Fatal(err)
 	}
 	plan := predict.NewPlan(fs, nil, cfg.Engine.FaultBudget, cfg.Retries)
-	if nq := len(queueIndices(plan)); nq < 2 {
+	queues, err := PlanScheduled(c, faults, cfg, SchedConfig{RungBudgets: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if nq := len(queues); nq < 2 {
 		b.Fatalf("plan routed every fault to one queue (%d queues); the hardqueue variant would be vacuous", nq)
 	}
 
@@ -70,9 +74,10 @@ func BenchmarkSched(b *testing.B) {
 		base[i] = ladderEffort(b, c, f, cfg)
 	}
 	rung := make([]int64, len(faults))
-	for i, f := range faults {
-		q := queueOf(plan, i)
-		rung[i] = ladderEffort(b, c, f, queueConfig(cfg, q, true))
+	for _, q := range queues {
+		for _, i := range q.Indices {
+			rung[i] = ladderEffort(b, c, faults[i], q.Config)
+		}
 	}
 
 	canonical := make([]int, len(faults))
@@ -89,7 +94,7 @@ func BenchmarkSched(b *testing.B) {
 	})
 	sp := spearmanX1000(plan.Scores, base)
 
-	ref, err := RunSharded(context.Background(), c, faults, cfg, 1)
+	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,7 +121,7 @@ func BenchmarkSched(b *testing.B) {
 	b.Run("retimed/unscheduled", func(b *testing.B) {
 		var res *Result
 		for i := 0; i < b.N; i++ {
-			res, err = RunSharded(context.Background(), c, faults, cfg, 1)
+			res, err = Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -126,9 +131,9 @@ func BenchmarkSched(b *testing.B) {
 	b.Run("retimed/easyfirst", func(b *testing.B) {
 		var res *Result
 		for i := 0; i < b.N; i++ {
-			// A pure reordering: RunScheduled without rung budgets keeps
+			// A pure reordering: a scheduled plan without rung budgets keeps
 			// even the charged effort byte-identical to the baseline.
-			res, err = RunScheduled(context.Background(), c, faults, cfg, SchedConfig{})
+			res, err = runScheduled(context.Background(), c, faults, cfg, SchedConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -138,12 +143,12 @@ func BenchmarkSched(b *testing.B) {
 	b.Run("retimed/hardqueue", func(b *testing.B) {
 		var res *Result
 		for i := 0; i < b.N; i++ {
-			res, err = RunScheduled(context.Background(), c, faults, cfg, SchedConfig{RungBudgets: true})
+			res, err = runScheduled(context.Background(), c, faults, cfg, SchedConfig{RungBudgets: true})
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		report(b, queueIndices(plan), rung, res)
+		report(b, queues.Indices(), rung, res)
 	})
 }
 
@@ -160,7 +165,7 @@ func retimedBench(b *testing.B) (*netlist.Circuit, int) {
 // ladderEffort charges fault f's full retry ladder under cfg.
 func ladderEffort(b *testing.B, c *netlist.Circuit, f fault.Fault, cfg Config) int64 {
 	b.Helper()
-	res, err := RunSharded(context.Background(), c, []fault.Fault{f}, cfg, 1)
+	res, err := Execute(context.Background(), c, []fault.Fault{f}, PlanRoundRobin(cfg, 1, 1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -31,6 +31,16 @@ func sortedTests(res *Result) []string {
 	return out
 }
 
+// runScheduled builds the scheduled plan and executes it, the path
+// cmd/atpg -schedule takes.
+func runScheduled(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, cfg Config, sched SchedConfig) (*Result, error) {
+	plan, err := PlanScheduled(c, faults, cfg, sched)
+	if err != nil {
+		return nil, err
+	}
+	return Execute(ctx, c, faults, plan)
+}
+
 func retimedC(t *testing.T) (*netlist.Circuit, int) {
 	t.Helper()
 	orig := synthC(t, 9, 12)
@@ -61,11 +71,11 @@ func schedCfg(t *testing.T) (Config, *netlist.Circuit, []fault.Fault) {
 func TestScheduledMatchesSharded(t *testing.T) {
 	cfg, c, faults := schedCfg(t)
 
-	ref, err := RunSharded(context.Background(), c, faults, cfg, 1)
+	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := RunScheduled(context.Background(), c, faults, cfg, SchedConfig{WithDensity: true})
+	sched, err := runScheduled(context.Background(), c, faults, cfg, SchedConfig{WithDensity: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +111,7 @@ func (h hardMarker) Score(fs *predict.FeatureSet, i int) float64 {
 func TestScheduledRungBudgetsVerdictInvariant(t *testing.T) {
 	cfg, c, faults := schedCfg(t)
 
-	ref, err := RunSharded(context.Background(), c, faults, cfg, 1)
+	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +120,7 @@ func TestScheduledRungBudgetsVerdictInvariant(t *testing.T) {
 	// still aborted after pass 0 paid for low rungs it out-budgeted.
 	pass0cfg := cfg
 	pass0cfg.Retries = 0
-	pass0, err := RunSharded(context.Background(), c, faults, pass0cfg, 1)
+	pass0, err := Execute(context.Background(), c, faults, PlanRoundRobin(pass0cfg, len(faults), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +134,7 @@ func TestScheduledRungBudgetsVerdictInvariant(t *testing.T) {
 		t.Fatal("budget not tight enough: pass 0 aborted nothing, the test proves nothing")
 	}
 
-	sched, err := RunScheduled(context.Background(), c, faults, cfg, SchedConfig{
+	sched, err := runScheduled(context.Background(), c, faults, cfg, SchedConfig{
 		Predictor:   hardMarker{hard: hard},
 		RungBudgets: true,
 	})
@@ -159,7 +169,7 @@ func TestScheduledResumeExact(t *testing.T) {
 	cfg, c, faults := schedCfg(t)
 	sched := SchedConfig{RungBudgets: true}
 
-	ref, err := RunScheduled(context.Background(), c, faults, cfg, sched)
+	ref, err := runScheduled(context.Background(), c, faults, cfg, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +197,7 @@ func TestScheduledResumeExact(t *testing.T) {
 				cancel()
 			}
 		}
-		res, err = RunScheduled(ctx, c, faults, rcfg, sched)
+		res, err = runScheduled(ctx, c, faults, rcfg, sched)
 		cancel()
 		if err != nil {
 			t.Fatal(err)
@@ -234,7 +244,7 @@ func TestScheduledForeignPlanRejected(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := RunScheduled(ctx, c, faults, wcfg, SchedConfig{Predictor: markA})
+	res, err := runScheduled(ctx, c, faults, wcfg, SchedConfig{Predictor: markA})
 	cancel()
 	if err != nil || !res.Interrupted {
 		t.Fatalf("setup: res=%+v err=%v", res, err)
@@ -245,7 +255,7 @@ func TestScheduledForeignPlanRejected(t *testing.T) {
 	rcfg.CheckpointPath = ckpt
 	rcfg.Resume = true
 	rcfg.FS = nosyncFS
-	if _, err := RunScheduled(context.Background(), c, faults, rcfg, SchedConfig{Predictor: markA}); err != nil {
+	if _, err := runScheduled(context.Background(), c, faults, rcfg, SchedConfig{Predictor: markA}); err != nil {
 		t.Fatalf("matching plan failed to resume: %v", err)
 	}
 
@@ -254,12 +264,12 @@ func TestScheduledForeignPlanRejected(t *testing.T) {
 	// matches its checkpoint.
 	ctx, cancel = context.WithCancel(context.Background())
 	attempts.Store(0)
-	res, err = RunScheduled(ctx, c, faults, wcfg, SchedConfig{Predictor: markA})
+	res, err = runScheduled(ctx, c, faults, wcfg, SchedConfig{Predictor: markA})
 	cancel()
 	if err != nil || !res.Interrupted {
 		t.Fatalf("re-record: res=%+v err=%v", res, err)
 	}
-	if _, err := RunScheduled(context.Background(), c, faults, rcfg, SchedConfig{Predictor: markB}); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := runScheduled(context.Background(), c, faults, rcfg, SchedConfig{Predictor: markB}); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("foreign plan resumed: err = %v, want ErrCheckpointMismatch", err)
 	}
 	// Leftover queue checkpoints from rejected attempts are fine; the
@@ -267,5 +277,42 @@ func TestScheduledForeignPlanRejected(t *testing.T) {
 	// interrupted run still exists for the error path above.
 	if _, err := os.Stat(ckpt + ".schedq0-of-2"); err != nil {
 		t.Logf("note: easy-queue checkpoint stat: %v", err)
+	}
+}
+
+// TestScheduledRungBudgetsWithoutRetries: with no escalation passes
+// there are no rungs to skip, so rung budgets must leave even the
+// charged effort of the predicted-hard queue identical to the
+// unscheduled run — the hard queue may not attack at a budget the
+// ladder never reaches.
+func TestScheduledRungBudgetsWithoutRetries(t *testing.T) {
+	cfg, c, faults := schedCfg(t)
+	cfg.Retries = 0
+
+	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hard := map[int]bool{}
+	for i, o := range ref.Outcomes {
+		if o == atpg.Aborted {
+			hard[i] = true
+		}
+	}
+	if len(hard) == 0 {
+		t.Fatal("budget not tight enough: nothing aborted, the test proves nothing")
+	}
+	sched, err := runScheduled(context.Background(), c, faults, cfg, SchedConfig{
+		Predictor:   hardMarker{hard: hard},
+		RungBudgets: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sched.Outcomes, ref.Outcomes) {
+		t.Error("rung budgets without retries changed verdicts")
+	}
+	if !reflect.DeepEqual(sched.Stats, ref.Stats) {
+		t.Errorf("rung budgets without retries changed stats:\n got %+v\nwant %+v", sched.Stats, ref.Stats)
 	}
 }

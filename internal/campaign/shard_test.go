@@ -35,7 +35,7 @@ func TestRunShardedShardCountInvariant(t *testing.T) {
 
 	var ref *Result
 	for _, shards := range []int{1, 2, 4} {
-		res, err := RunSharded(context.Background(), c, faults, cfg, shards)
+		res, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), shards))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -85,7 +85,7 @@ func TestRunShardedInterruptResume(t *testing.T) {
 	base := Config{Engine: engineCfg(), Retries: 1}
 	base.Engine.FaultBudget = 30_000
 
-	ref, err := RunSharded(context.Background(), c, faults, base, shards)
+	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(base, len(faults), shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRunShardedInterruptResume(t *testing.T) {
 				cancel()
 			}
 		}
-		res, err = RunSharded(ctx, c, faults, cfg, shards)
+		res, err = Execute(ctx, c, faults, PlanRoundRobin(cfg, len(faults), shards))
 		cancel()
 		if err != nil {
 			t.Fatal(err)
@@ -148,14 +148,14 @@ func TestRunShardedCrashIsolation(t *testing.T) {
 	faults := fault.CollapsedUniverse(c)[:30]
 	const crashAt = 7
 	var fired atomic.Bool
-	res, err := RunSharded(context.Background(), c, faults, Config{
+	res, err := Execute(context.Background(), c, faults, PlanRoundRobin(Config{
 		Engine: engineCfg(),
 		Hook: func(i int, f fault.Fault) {
 			if i == crashAt && fired.CompareAndSwap(false, true) {
 				panic("injected shard crash")
 			}
 		},
-	}, 3)
+	}, len(faults), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +177,12 @@ func TestRunShardedRejectsBadShardCount(t *testing.T) {
 	c := synthC(t, 5, 3)
 	faults := fault.CollapsedUniverse(c)[:4]
 	for _, shards := range []int{0, -2} {
-		if _, err := RunSharded(context.Background(), c, faults, Config{Engine: engineCfg()}, shards); err == nil {
+		if _, err := Execute(context.Background(), c, faults, PlanRoundRobin(Config{Engine: engineCfg()}, len(faults), shards)); err == nil {
 			t.Errorf("shards=%d accepted", shards)
 		}
 	}
 	// More shards than faults: the empty shards are simply skipped.
-	res, err := RunSharded(context.Background(), c, faults, Config{Engine: engineCfg()}, 8)
+	res, err := Execute(context.Background(), c, faults, PlanRoundRobin(Config{Engine: engineCfg()}, len(faults), 8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestRunShardedNormalizesSharedLearning(t *testing.T) {
 
 	var ref *Result
 	for _, shards := range []int{1, 2, 3} {
-		res, err := RunSharded(context.Background(), c, faults, cfg, shards)
+		res, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), shards))
 		if err != nil {
 			t.Fatal(err)
 		}

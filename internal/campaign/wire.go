@@ -28,7 +28,7 @@ var ErrResultWire = errors.New("campaign: invalid shard-result payload")
 // same human-inspectable encodings the checkpoint format uses ("01X"
 // vectors, one digit per outcome, sorted state sets), so a worker's
 // shard verdicts survive the network byte-exactly and merge into the
-// same global Result a local RunSharded would have produced.
+// same global Result a local Execute of the same plan produces.
 type wireResult struct {
 	Version            int         `json:"version"`
 	Outcomes           string      `json:"outcomes"`

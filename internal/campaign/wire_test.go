@@ -146,7 +146,7 @@ func TestWireMergeMatchesInMemory(t *testing.T) {
 		faults[i] = fault.Fault{Gate: i, Pin: 0, SA: sim.V1}
 	}
 	for _, shards := range []int{1, 2, 3, 7, 31} {
-		idxs := ShardIndices(len(faults), shards)
+		idxs := PlanRoundRobin(Config{}, len(faults), shards).Indices()
 		direct := make([]*Result, shards)
 		wired := make([]*Result, shards)
 		for k := 0; k < shards; k++ {

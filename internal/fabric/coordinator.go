@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"seqatpg/internal/campaign"
-	"seqatpg/internal/fault"
 	"seqatpg/internal/ioguard"
 	"seqatpg/internal/rescache"
 	"seqatpg/internal/service"
@@ -38,12 +37,14 @@ type Options struct {
 	// Workers lists the fleet's base URLs.
 	Workers []string
 	// Shards is the campaign partition count; zero selects
-	// len(Workers). More shards than workers is fine (workers run
-	// several shard jobs); more shards than faults yields empty shards,
-	// which are merged without dispatching anything.
+	// len(Workers), and more than service.MaxShards is rejected (no
+	// worker would accept the shard jobs). More shards than workers is
+	// fine (workers run several shard jobs); more shards than faults
+	// yields empty shards, which are merged without dispatching
+	// anything.
 	Shards int
 	// Balance packs shards by predicted per-fault search cost
-	// (service.PlanShards) instead of round-robin by index, so no
+	// (campaign.PlanBalanced) instead of round-robin by index, so no
 	// single shard collects the predicted-hard faults and becomes the
 	// straggler that sets the campaign makespan. Placement only moves
 	// faults between shards; the merged verdicts are identical either
@@ -115,12 +116,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Coordinator federates one campaign across a worker fleet: it splits
-// the fault universe into the same deterministic shards RunSharded
-// uses, dispatches each shard as a job, holds it under a heartbeat-
-// renewed lease, re-dispatches lost shards from their last durable
-// checkpoint, and merges the shard results into a Result identical to
-// a single-node sharded run.
+// Coordinator federates one campaign across a worker fleet: it builds
+// the same campaign.Plan its workers derive from their shard selectors,
+// dispatches each shard as a job, holds it under a heartbeat-renewed
+// lease, re-dispatches lost shards from their last durable checkpoint,
+// and merges the shard results into a Result identical to a local
+// campaign.Execute of that plan.
 type Coordinator struct {
 	opts    Options
 	clients []*Client
@@ -165,8 +166,8 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		return nil, fmt.Errorf("fabric: coordinator needs at least one worker URL")
 	}
 	opts = opts.withDefaults()
-	if opts.Shards < 1 {
-		return nil, fmt.Errorf("fabric: %d shards, want >= 1", opts.Shards)
+	if opts.Shards < 1 || opts.Shards > service.MaxShards {
+		return nil, fmt.Errorf("fabric: %d shards, want 1 to %d", opts.Shards, service.MaxShards)
 	}
 	c := &Coordinator{
 		opts:     opts,
@@ -219,18 +220,11 @@ func (c *Coordinator) Run(ctx context.Context, spec service.Spec) (*campaign.Res
 	if err != nil {
 		return nil, err
 	}
-	ccfg := campaign.NormalizeForSharding(p.Campaign)
-	fp := campaign.Fingerprint(p.Circuit, ccfg, p.Faults)
-	var idxs [][]int
+	fp := campaign.Fingerprint(p.Circuit, campaign.NormalizeForSharding(p.Campaign), p.Faults)
+	plan := service.ShardSel{Count: c.opts.Shards, Balanced: c.opts.Balance}.Plan(p.Campaign, p.Scores)
+	idxs := plan.Indices()
 	if c.opts.Balance {
-		var scores []float64
-		idxs, scores, err = service.PlanShards(p.Circuit, p.Faults, c.opts.Shards)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: balanced placement: %w", err)
-		}
-		c.recordPlacement(idxs, scores)
-	} else {
-		idxs = campaign.ShardIndices(len(p.Faults), c.opts.Shards)
+		c.recordPlacement(idxs, p.Scores)
 	}
 
 	if err := c.handshake(ctx); err != nil {
@@ -240,7 +234,7 @@ func (c *Coordinator) Run(ctx context.Context, spec service.Spec) (*campaign.Res
 		return nil, err
 	}
 
-	digests := c.shardDigests(p, ccfg, idxs)
+	digests := c.shardDigests(p, plan)
 	results := make([]*campaign.Result, c.opts.Shards)
 	errs := make([]error, c.opts.Shards)
 	var wg sync.WaitGroup
@@ -262,7 +256,7 @@ func (c *Coordinator) Run(ctx context.Context, spec service.Spec) (*campaign.Res
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			results[k], errs[k] = c.runShard(ctx, spec, k, len(idxs[k]))
+			results[k], errs[k] = c.driveShard(ctx, spec, k, len(idxs[k]))
 			if errs[k] == nil && results[k] != nil {
 				c.storeShardResult(digests[k], results[k])
 			}
@@ -329,20 +323,16 @@ func satInt64(v float64) int64 {
 // fault sublist and the normalized config — the same inputs the shard
 // job computes from, so the digest is shard-count-agnostic: any
 // partition producing the same sublist shares the cache entry.
-func (c *Coordinator) shardDigests(p *service.Prepared, ccfg campaign.Config, idxs [][]int) []string {
-	digests := make([]string, len(idxs))
+func (c *Coordinator) shardDigests(p *service.Prepared, plan campaign.Plan) []string {
+	digests := make([]string, len(plan))
 	if c.opts.Cache == nil {
 		return digests
 	}
-	for k, ix := range idxs {
-		if len(ix) == 0 {
+	for k, part := range plan {
+		if len(part.Indices) == 0 {
 			continue
 		}
-		sub := make([]fault.Fault, 0, len(ix))
-		for _, gi := range ix {
-			sub = append(sub, p.Faults[gi])
-		}
-		digests[k] = rescache.Digest(p.Circuit, ccfg, sub, "wire-shard")
+		digests[k] = rescache.Digest(p.Circuit, part.Config, part.Sublist(p.Faults), "wire-shard")
 	}
 	return digests
 }
@@ -419,9 +409,9 @@ func (c *Coordinator) handshake(ctx context.Context) error {
 	return nil
 }
 
-// runShard drives one shard to completion: dispatch, lease-watch,
+// driveShard drives one shard to completion: dispatch, lease-watch,
 // re-dispatch on loss, bounded by MaxRedispatch.
-func (c *Coordinator) runShard(ctx context.Context, base service.Spec, k, wantFaults int) (*campaign.Result, error) {
+func (c *Coordinator) driveShard(ctx context.Context, base service.Spec, k, wantFaults int) (*campaign.Result, error) {
 	avoid := ""
 	for attempt := 0; attempt < c.opts.MaxRedispatch; attempt++ {
 		if attempt > 0 {

@@ -123,15 +123,16 @@ func testSpec(t *testing.T) service.Spec {
 	return service.Spec{Name: "chaos", Netlist: b.String(), MaxFaults: 12}
 }
 
-// reference runs the same campaign single-node via RunSharded — the
-// result every federated run must reproduce exactly.
+// reference runs the same campaign single-node via campaign.Execute of
+// the round-robin plan — the result every federated run must reproduce
+// exactly.
 func reference(t *testing.T, spec service.Spec, shards int) *campaign.Result {
 	t.Helper()
 	p, err := service.Prepare(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.RunSharded(context.Background(), p.Circuit, p.Faults, p.Campaign, shards)
+	res, err := campaign.Execute(context.Background(), p.Circuit, p.Faults, campaign.PlanRoundRobin(p.Campaign, len(p.Faults), shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func assertConverged(t *testing.T, got, want *campaign.Result) {
 // property: for K ∈ {1, 2, 3, 7} — including K greater than the fault
 // count, which produces empty shards — the coordinator's merge of K
 // wire-shipped shard results is byte-identical (EncodeResult bytes) to
-// a single-node RunSharded over the same campaign.
+// a single-node Execute of the same round-robin plan.
 func TestFabricMergeShardCountInvariance(t *testing.T) {
 	spec := service.Spec{Name: "invariance", Netlist: benchText(t, 4, 7), MaxFaults: 6}
 	w0, w1 := startWorker(t, nil), startWorker(t, nil)
@@ -212,7 +213,7 @@ func TestFabricMergeShardCountInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gotB, wantB) {
-			t.Fatalf("K=%d: federated result is not byte-identical to single-node RunSharded", k)
+			t.Fatalf("K=%d: federated result is not byte-identical to single-node Execute", k)
 		}
 		// And shard-count invariance itself: every K reproduces K=1's
 		// verdicts and stats (test *order* legitimately varies with the

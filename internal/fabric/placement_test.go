@@ -42,11 +42,8 @@ func TestFabricBalancedPlacementInvariance(t *testing.T) {
 	for _, k := range []int{2, 3} {
 		// Sanity: the balanced partition is a real repacking, not the
 		// round-robin split under a different flag.
-		idxs, _, err := service.PlanShards(p.Circuit, p.Faults, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reflect.DeepEqual(idxs, campaign.ShardIndices(len(p.Faults), k)) {
+		idxs := campaign.PlanBalanced(p.Campaign, p.Scores, k).Indices()
+		if reflect.DeepEqual(idxs, campaign.PlanRoundRobin(p.Campaign, len(p.Faults), k).Indices()) {
 			t.Logf("K=%d: balanced partition coincides with round-robin", k)
 		}
 
@@ -81,5 +78,17 @@ func TestFabricBalancedPlacementInvariance(t *testing.T) {
 		if snap.PredictedShardEvalsMin > snap.PredictedShardEvalsMax {
 			t.Fatalf("K=%d: predicted min %d > max %d", k, snap.PredictedShardEvalsMin, snap.PredictedShardEvalsMax)
 		}
+	}
+}
+
+// TestCoordinatorShardCap: the coordinator refuses a shard count its
+// workers would reject, before contacting any of them.
+func TestCoordinatorShardCap(t *testing.T) {
+	workers := []string{"http://127.0.0.1:1"}
+	if _, err := NewCoordinator(Options{Workers: workers, Shards: service.MaxShards + 1}); err == nil {
+		t.Fatal("coordinator accepted a shard count above service.MaxShards")
+	}
+	if _, err := NewCoordinator(Options{Workers: workers, Shards: service.MaxShards}); err != nil {
+		t.Fatalf("coordinator rejected a shard count at the cap: %v", err)
 	}
 }

@@ -199,7 +199,7 @@ func ladderCap(baseBudget int64, retries int) int64 {
 // Deterministic (ties break on lowest index, then lowest bin), so a
 // coordinator and its workers derive identical partitions from the
 // same scores. Each bin comes back in ascending fault order, the same
-// intra-shard execution order campaign.ShardIndices produces.
+// intra-shard execution order a round-robin shard has.
 func BalancedIndices(scores []float64, shards int) [][]int {
 	if shards < 1 {
 		shards = 1

@@ -88,22 +88,20 @@ func TestPreparedCostEstimate(t *testing.T) {
 }
 
 // TestBalancedShardSel: the Balanced selector partitions the same
-// fault universe (every fault exactly once, matching PlanShards), it
-// just packs by predicted cost. Worker-side Prepare and the
-// coordinator-side PlanShards must agree bin for bin.
+// fault universe (every fault exactly once, matching the coordinator's
+// plan), it just packs by predicted cost. Worker-side Prepare and the
+// coordinator-side ShardSel.Plan over the whole campaign must agree
+// bin for bin.
 func TestBalancedShardSel(t *testing.T) {
 	bench := benchText(t, 6, 11)
 	full, err := Prepare(Spec{Netlist: bench})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxs, scores, err := PlanShards(full.Circuit, full.Faults, 3)
-	if err != nil {
-		t.Fatal(err)
+	if len(full.Scores) != len(full.Faults) {
+		t.Fatalf("Prepare scored %d of %d faults", len(full.Scores), len(full.Faults))
 	}
-	if len(scores) != len(full.Faults) {
-		t.Fatalf("PlanShards scored %d of %d faults", len(scores), len(full.Faults))
-	}
+	idxs := ShardSel{Count: 3, Balanced: true}.Plan(full.Campaign, full.Scores).Indices()
 	seen := 0
 	for k := 0; k < 3; k++ {
 		p, err := Prepare(Spec{Netlist: bench, Shard: &ShardSel{Index: k, Count: 3, Balanced: true}})
@@ -111,11 +109,11 @@ func TestBalancedShardSel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(p.Faults) != len(idxs[k]) {
-			t.Fatalf("shard %d: Prepare selected %d faults, PlanShards %d", k, len(p.Faults), len(idxs[k]))
+			t.Fatalf("shard %d: Prepare selected %d faults, the plan %d", k, len(p.Faults), len(idxs[k]))
 		}
 		for i, gi := range idxs[k] {
 			if p.Faults[i] != full.Faults[gi] {
-				t.Fatalf("shard %d fault %d: Prepare and PlanShards disagree", k, i)
+				t.Fatalf("shard %d fault %d: Prepare and the plan disagree", k, i)
 			}
 		}
 		seen += len(p.Faults)

@@ -137,8 +137,8 @@ func TestQueueFullRetryAfterAndReadyz(t *testing.T) {
 }
 
 // TestShardSpecPrepare pins that a shard selector prepares exactly the
-// sublist campaign.ShardIndices names and normalizes the config the
-// way RunSharded would.
+// sublist campaign.PlanRoundRobin names and normalizes the config the
+// way campaign.Execute's shards run it.
 func TestShardSpecPrepare(t *testing.T) {
 	text := benchText(t, 5, 2)
 	whole, err := Prepare(Spec{Netlist: text})
@@ -146,7 +146,7 @@ func TestShardSpecPrepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shards = 3
-	idxs := campaign.ShardIndices(len(whole.Faults), shards)
+	idxs := campaign.PlanRoundRobin(whole.Campaign, len(whole.Faults), shards).Indices()
 	seen := 0
 	for k := 0; k < shards; k++ {
 		p, err := Prepare(Spec{Netlist: text, Shard: &ShardSel{Index: k, Count: shards}})
@@ -186,6 +186,59 @@ func TestShardSpecPrepare(t *testing.T) {
 		if _, err := Prepare(bad); err == nil {
 			t.Fatalf("spec %+v prepared without error", bad)
 		}
+	}
+}
+
+// TestShardCountCap: a shard count above MaxShards — as a local shard
+// count or a shard selector's count — is rejected by Prepare before any
+// partition is allocated, and over HTTP as a 4xx that leaves the server
+// serving and nothing persisted for a restart to re-run.
+func TestShardCountCap(t *testing.T) {
+	text := benchText(t, 4, 3)
+	for _, n := range []int{MaxShards + 1, 1 << 34} {
+		for _, bad := range []Spec{
+			{Netlist: text, Shards: n},
+			{Netlist: text, Shard: &ShardSel{Index: 0, Count: n}},
+			{Netlist: text, Shard: &ShardSel{Index: 0, Count: n, Balanced: true}},
+		} {
+			if _, err := Prepare(bad); err == nil {
+				t.Fatalf("Prepare accepted shards=%d shard=%+v", bad.Shards, bad.Shard)
+			}
+		}
+	}
+	for _, ok := range []Spec{
+		{Netlist: text, Shards: MaxShards},
+		{Netlist: text, Shard: &ShardSel{Index: MaxShards - 1, Count: MaxShards}},
+	} {
+		if _, err := Prepare(ok); err != nil {
+			t.Fatalf("Prepare rejected a spec at the cap: %v", err)
+		}
+	}
+
+	srv, base := startHTTP(t, Options{Workers: 1})
+	for _, body := range []string{
+		`{"netlist":` + strconv.Quote(text) + `,"shards":17179869184}`,
+		`{"netlist":` + strconv.Quote(text) + `,"shard":{"index":0,"count":17179869184}}`,
+	} {
+		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Fatalf("over-cap submission: status %d, want 4xx", resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after over-cap submissions: %d", resp.StatusCode)
+	}
+	if jobs := srv.List(); len(jobs) != 0 {
+		t.Fatalf("over-cap submissions persisted %d job(s)", len(jobs))
 	}
 }
 

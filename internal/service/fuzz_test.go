@@ -23,6 +23,10 @@ func FuzzSpec(f *testing.F) {
 	f.Add([]byte(`not json`))
 	f.Add([]byte("\x00\xff{"))
 	f.Add([]byte(`{"id":1e999}`))
+	// Shard counts far past MaxShards: rejected before any partition
+	// is allocated, not an out-of-memory crash.
+	f.Add([]byte(`{"netlist":"INPUT(a)\nOUTPUT(z)\nz = DFF(a)\n","shards":17179869184}`))
+	f.Add([]byte(`{"netlist":"INPUT(a)\nOUTPUT(z)\nz = DFF(a)\n","shard":{"index":0,"count":17179869184}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {

@@ -199,13 +199,13 @@ func TestServeEndToEndRestartResume(t *testing.T) {
 	}
 
 	// With the first process fully stopped, verify A's sharded result
-	// against a direct RunSharded of the same prepared spec.
-	refA, err := campaign.RunSharded(context.Background(), pA.Circuit, pA.Faults, pA.Campaign, pA.Shards)
+	// against a direct Execute of the same prepared spec.
+	refA, err := campaign.Execute(context.Background(), pA.Circuit, pA.Faults, campaign.PlanRoundRobin(pA.Campaign, len(pA.Faults), pA.Shards))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := NewSummary(refA); !reflect.DeepEqual(*stA.Result, want) {
-		t.Errorf("sharded job result through the service:\n %+v\nwant (direct RunSharded):\n %+v", *stA.Result, want)
+		t.Errorf("sharded job result through the service:\n %+v\nwant (direct Execute):\n %+v", *stA.Result, want)
 	}
 
 	// Second process on the same directory: A and C recover terminal, B

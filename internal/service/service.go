@@ -910,7 +910,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	case s.testRunCampaign != nil:
 		res, err = s.testRunCampaign(ctx, j, ccfg)
 	case p.Shards > 1:
-		res, err = campaign.RunSharded(ctx, p.Circuit, p.Faults, ccfg, p.Shards)
+		res, err = campaign.Execute(ctx, p.Circuit, p.Faults, campaign.PlanRoundRobin(ccfg, len(p.Faults), p.Shards))
 	default:
 		res, err = campaign.Run(ctx, p.Circuit, p.Faults, ccfg)
 	}

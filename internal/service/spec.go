@@ -39,8 +39,9 @@ type Spec struct {
 	// aborted faults; zero means a single pass.
 	Retries int `json:"retries,omitempty"`
 	// Shards > 1 runs the campaign with deterministic fault-level
-	// parallelism (campaign.RunSharded); zero or 1 is a plain
-	// sequential campaign.
+	// parallelism: campaign.Execute over the campaign.PlanRoundRobin
+	// plan. Zero or 1 is a plain sequential campaign; more than
+	// MaxShards is rejected.
 	Shards int `json:"shards,omitempty"`
 	// MaxFaults truncates the collapsed fault universe; zero keeps all
 	// faults.
@@ -50,14 +51,13 @@ type Spec struct {
 	FlushCycles int `json:"flush_cycles,omitempty"`
 	// Seed perturbs the engine's randomized phases.
 	Seed int64 `json:"seed,omitempty"`
-	// Shard, when set, restricts the job to one shard of the collapsed
-	// fault universe using campaign.ShardIndices — the exact round-robin
-	// partition campaign.RunSharded uses — and normalizes the campaign
-	// config with campaign.NormalizeForSharding. A fleet coordinator
+	// Shard, when set, restricts the job to one partition of the
+	// collapsed fault universe, running it with that partition's
+	// normalized campaign config (ShardSel.Plan). A fleet coordinator
 	// submits one such job per shard and merges the shard results into a
-	// global Result byte-identical to a single-node sharded run.
-	// Incompatible with Shards > 1 (the worker runs its one shard
-	// sequentially).
+	// global Result byte-identical to a single-node campaign.Execute of
+	// the same plan. Incompatible with Shards > 1 (the worker runs its
+	// one shard sequentially).
 	Shard *ShardSel `json:"shard,omitempty"`
 	// Checkpoint, when non-empty, seeds the job's campaign checkpoint
 	// before the first pass: a coordinator re-dispatching a shard to a
@@ -70,12 +70,19 @@ type Spec struct {
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 }
 
-// ShardSel names one shard of a deterministic fault partition: the
-// round-robin campaign.ShardIndices partition by default, or — when
-// Balanced is set — the predicted-cost-balanced partition PlanShards
-// computes. Coordinator and worker each derive the partition
+// MaxShards caps Spec.Shards and ShardSel.Count. A shard count sizes
+// the partition every worker and coordinator allocates (and, for a
+// local sharded job, the number of concurrent campaigns), and a spec is
+// persisted at submission and re-run after a restart, so an unbounded
+// count would let one request exhaust the server's memory again on
+// every start.
+const MaxShards = 256
+
+// ShardSel names one shard of a deterministic fault partition (see
+// Plan). Coordinator and worker each derive the partition
 // independently from the same netlist; feature extraction is
-// deterministic, so they always agree on the sublists.
+// deterministic, so they always agree on the sublists. Count is at most
+// MaxShards.
 type ShardSel struct {
 	Index int `json:"index"`
 	Count int `json:"count"`
@@ -84,6 +91,18 @@ type ShardSel struct {
 	// shard full of predicted-hard faults cannot become the straggler
 	// that sets the campaign makespan.
 	Balanced bool `json:"balanced,omitempty"`
+}
+
+// Plan builds the partition the selector indexes into, over a
+// campaign's config and the predicted cost scores of its whole fault
+// list: campaign.PlanRoundRobin by default, campaign.PlanBalanced when
+// Balanced is set. Worker-side Prepare and the fabric coordinator both
+// call it, which is what keeps their sublists and configs identical.
+func (s ShardSel) Plan(cfg campaign.Config, scores []float64) campaign.Plan {
+	if s.Balanced {
+		return campaign.PlanBalanced(cfg, scores, s.Count)
+	}
+	return campaign.PlanRoundRobin(cfg, len(scores), s.Count)
 }
 
 func (s Spec) shardCount() int {
@@ -119,6 +138,10 @@ type Prepared struct {
 	Faults   []fault.Fault
 	Campaign campaign.Config
 	Shards   int
+	// Scores are the predicted cost scores of Faults, index for index
+	// (structural features and the default predictor only). They feed
+	// the cost estimates below and balanced shard placement.
+	Scores []float64
 	// CostEstimate is the predicted charged effort of this job in gate
 	// evaluations: the sum over its (post-shard-selection) fault list of
 	// per-fault predictions, each clamped to the retry ladder's final
@@ -139,8 +162,8 @@ func Prepare(spec Spec) (*Prepared, error) {
 	if strings.TrimSpace(spec.Netlist) == "" {
 		return nil, fmt.Errorf("service: empty netlist")
 	}
-	if spec.Shards < 0 {
-		return nil, fmt.Errorf("service: negative shards %d", spec.Shards)
+	if spec.Shards < 0 || spec.Shards > MaxShards {
+		return nil, fmt.Errorf("service: shards %d out of range [0, %d]", spec.Shards, MaxShards)
 	}
 	if spec.MaxFaults < 0 {
 		return nil, fmt.Errorf("service: negative max_faults %d", spec.MaxFaults)
@@ -149,8 +172,8 @@ func Prepare(spec Spec) (*Prepared, error) {
 		if spec.Shards > 1 {
 			return nil, fmt.Errorf("service: shard selector and shards=%d are mutually exclusive", spec.Shards)
 		}
-		if spec.Shard.Count < 1 {
-			return nil, fmt.Errorf("service: shard count %d, want >= 1", spec.Shard.Count)
+		if spec.Shard.Count < 1 || spec.Shard.Count > MaxShards {
+			return nil, fmt.Errorf("service: shard count %d out of range [1, %d]", spec.Shard.Count, MaxShards)
 		}
 		if spec.Shard.Index < 0 || spec.Shard.Index >= spec.Shard.Count {
 			return nil, fmt.Errorf("service: shard index %d out of range [0, %d)", spec.Shard.Index, spec.Shard.Count)
@@ -217,30 +240,20 @@ func Prepare(spec Spec) (*Prepared, error) {
 	}
 	ccfg := campaign.Config{Engine: ecfg, Retries: spec.Retries}
 	if spec.Shard != nil {
-		// Select this worker's sublist with the same partition a local
-		// RunSharded (or, for Balanced, the coordinator's PlanShards
-		// call) would use, and normalize the config the same way: both
-		// must match exactly or the merged fleet result would diverge
-		// from a single-node run.
-		var idxs [][]int
-		if spec.Shard.Balanced {
-			idxs = predict.BalancedIndices(scores, spec.Shard.Count)
-		} else {
-			idxs = campaign.ShardIndices(len(faults), spec.Shard.Count)
+		// This worker's shard of the plan the coordinator builds: its
+		// sublist and normalized config must match exactly, or the
+		// merged fleet result would diverge from a single-node run.
+		part := spec.Shard.Plan(ccfg, scores)[spec.Shard.Index]
+		subScores := make([]float64, len(part.Indices))
+		for i, gi := range part.Indices {
+			subScores[i] = scores[gi]
 		}
-		sub := make([]fault.Fault, 0, len(idxs[spec.Shard.Index]))
-		subScores := make([]float64, 0, len(idxs[spec.Shard.Index]))
-		for _, gi := range idxs[spec.Shard.Index] {
-			sub = append(sub, faults[gi])
-			subScores = append(subScores, scores[gi])
-		}
-		faults, scores = sub, subScores
-		ccfg = campaign.NormalizeForSharding(ccfg)
+		faults, scores, ccfg = part.Sublist(faults), subScores, part.Config
 	}
 	if err := ccfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Prepared{Circuit: c, Faults: faults, Campaign: ccfg, Shards: spec.shardCount()}
+	p := &Prepared{Circuit: c, Faults: faults, Campaign: ccfg, Shards: spec.shardCount(), Scores: scores}
 	for _, sc := range scores {
 		ev := predict.ClampEval(sc, ecfg.FaultBudget, ccfg.Retries)
 		if p.CostEstimate <= math.MaxInt64-ev {
@@ -272,21 +285,6 @@ func predictScores(c *netlist.Circuit, faults []fault.Fault) ([]float64, error) 
 		scores[i] = p.Score(fs, i)
 	}
 	return scores, nil
-}
-
-// PlanShards partitions a fault universe into shards balanced by
-// predicted search cost — the partition a ShardSel with Balanced set
-// selects — and returns the per-fault scores the packing was derived
-// from. The coordinator calls this to know each shard's sublist for
-// digesting and merging; the worker's Prepare recomputes it and, by
-// determinism of the underlying feature extraction, lands on exactly
-// the same bins.
-func PlanShards(c *netlist.Circuit, faults []fault.Fault, shards int) ([][]int, []float64, error) {
-	scores, err := predictScores(c, faults)
-	if err != nil {
-		return nil, nil, err
-	}
-	return predict.BalancedIndices(scores, shards), scores, nil
 }
 
 // Summary is the JSON-safe digest of a campaign.Result: everything

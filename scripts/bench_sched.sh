@@ -4,7 +4,7 @@
 # and per-fault completion latencies (P50/P95/max) on the retimed
 # benchmark for three variants — unscheduled (canonical order, one
 # queue), easyfirst (one queue ordered by predicted score; no hard
-# queue) and hardqueue (the full RunScheduled plan: per-rung concurrent
+# queue) and hardqueue (the full PlanScheduled plan: per-rung concurrent
 # queues with rung budgets) — plus the Spearman rank correlation of
 # predicted score against measured per-fault effort.
 #
