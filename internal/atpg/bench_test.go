@@ -12,7 +12,7 @@ import (
 	"seqatpg/internal/synth"
 )
 
-func synthForBench(b *testing.B) *netlist.Circuit {
+func synthForBench(b testing.TB) *netlist.Circuit {
 	b.Helper()
 	m, err := fsm.Generate(fsm.GenSpec{Name: "bench", Inputs: 4, Outputs: 3, States: 12, Seed: 31})
 	if err != nil {
@@ -30,7 +30,7 @@ func synthForBench(b *testing.B) *netlist.Circuit {
 // benchPair builds the original circuit and its backward-retimed
 // counterpart — the pairing the paper's complexity argument (and this
 // PR's speedup target) is about.
-func benchPair(b *testing.B) (orig *netlist.Circuit, re *netlist.Circuit, reFlush int) {
+func benchPair(b testing.TB) (orig *netlist.Circuit, re *netlist.Circuit, reFlush int) {
 	b.Helper()
 	orig = synthForBench(b)
 	r, err := retime.Backward(orig, netlist.DefaultLibrary(), 2)
@@ -50,7 +50,7 @@ func BenchmarkWindowSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	f := &fault.Fault{Gate: c.DFFs[0], Pin: -1, SA: sim.V1}
-	w := newWindow(c, order, 8, f)
+	w := newWindow(soaOf(b, c), 8, f)
 	for i := range w.piVals[0] {
 		w.piVals[0][i] = sim.V0
 	}
@@ -67,12 +67,8 @@ func BenchmarkWindowSweep(b *testing.B) {
 // Compare against BenchmarkWindowSweep for the per-probe speedup.
 func BenchmarkWindowIncremental(b *testing.B) {
 	c := synthForBench(b)
-	order, err := c.TopoOrder()
-	if err != nil {
-		b.Fatal(err)
-	}
 	f := &fault.Fault{Gate: c.DFFs[0], Pin: -1, SA: sim.V1}
-	w := newWindow(c, order, 8, f)
+	w := newWindow(soaOf(b, c), 8, f)
 	for i := range w.piVals[0] {
 		w.piVals[0][i] = sim.V0
 	}
@@ -106,43 +102,13 @@ func BenchmarkSearch(b *testing.B) {
 		{"orig", orig, 1},
 		{"retimed", re, reFlush},
 	}
-	modes := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"incremental", nil},
-		{"oblivious", func(c *Config) { c.ObliviousSim = true }},
-		{"shared-cache", func(c *Config) { c.Learning = true; c.SharedLearning = true }},
-		{"cdcl", func(c *Config) {
-			c.Learning = true
-			c.SharedLearning = true
-			c.ConflictLearning = true
-			c.Backjump = true
-			c.Restarts = true
-		}},
-	}
 	for _, cc := range circuits {
-		faults := fault.CollapsedUniverse(cc.c)
-		if len(faults) > 24 {
-			faults = faults[:24]
-		}
-		for _, m := range modes {
+		faults := searchFaults(cc.c)
+		for _, m := range searchModes {
 			b.Run(cc.name+"/"+m.name, func(b *testing.B) {
 				var stats Stats
 				for i := 0; i < b.N; i++ {
-					// 200k per fault is deliberately tight enough that the
-					// retimed circuit's hardest fault aborts under the
-					// shared cache but completes under cdcl's cheaper
-					// search — the aborted-fault reduction the cdcl rows
-					// exist to demonstrate.
-					cfg := Config{
-						MaxFrames: 6, MaxBackSteps: 24, BacktrackLimit: 1000,
-						FaultBudget: 200_000, FlushCycles: cc.flush,
-					}
-					if m.mutate != nil {
-						m.mutate(&cfg)
-					}
-					e, err := New(cc.c, cfg)
+					e, err := New(cc.c, m.config(cc.flush))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -158,6 +124,53 @@ func BenchmarkSearch(b *testing.B) {
 			})
 		}
 	}
+}
+
+// searchMode is one engine configuration of the search benchmark.
+type searchMode struct {
+	name   string
+	mutate func(*Config)
+}
+
+// searchModes are the configurations BenchmarkSearch times and
+// TestEngineGolden pins.
+var searchModes = []searchMode{
+	{"incremental", nil},
+	{"oblivious", func(c *Config) { c.ObliviousSim = true }},
+	{"shared-cache", func(c *Config) { c.Learning = true; c.SharedLearning = true }},
+	{"cdcl", func(c *Config) {
+		c.Learning = true
+		c.SharedLearning = true
+		c.ConflictLearning = true
+		c.Backjump = true
+		c.Restarts = true
+	}},
+}
+
+// config is the search configuration of one mode. 200k per fault is
+// deliberately tight enough that the retimed circuit's hardest fault
+// aborts under the shared cache but completes under cdcl's cheaper
+// search — the aborted-fault reduction the cdcl rows exist to
+// demonstrate.
+func (m searchMode) config(flush int) Config {
+	cfg := Config{
+		MaxFrames: 6, MaxBackSteps: 24, BacktrackLimit: 1000,
+		FaultBudget: 200_000, FlushCycles: flush,
+	}
+	if m.mutate != nil {
+		m.mutate(&cfg)
+	}
+	return cfg
+}
+
+// searchFaults is the fault list BenchmarkSearch runs: the first 24
+// collapsed faults.
+func searchFaults(c *netlist.Circuit) []fault.Fault {
+	faults := fault.CollapsedUniverse(c)
+	if len(faults) > 24 {
+		faults = faults[:24]
+	}
+	return faults
 }
 
 // BenchmarkGeneratePerFault measures end-to-end per-fault generation on

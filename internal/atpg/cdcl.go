@@ -231,15 +231,15 @@ type conflictWitness struct {
 	kind  witnessKind
 	onF   bool // analyze the faulty rail instead of the good rail
 	frame int
-	gate  int
+	pos   int
 }
 
-// railVal reads one rail of a line value.
-func railVal(w *window, onF bool, t, id int) sim.Val {
+// railVal reads one rail of the value at position p of frame t.
+func railVal(w *window, onF bool, t, p int) sim.Val {
 	if onF {
-		return w.vals[t][id].F
+		return w.vals[t][p].F
 	}
-	return w.vals[t][id].G
+	return w.vals[t][p].G
 }
 
 // analyzeLine walks the implicit implication graph backward from a
@@ -252,12 +252,12 @@ func railVal(w *window, onF bool, t, id int) sim.Val {
 // pure good-machine facts. ok=false means the walk escaped the
 // analyzable fragment (an unknown value or gate kind); the caller falls
 // back to chronological backtracking.
-func analyzeLine(w *window, onF bool, frame, gate int, db *cubeDB) ([]cubeLit, bool) {
-	type node struct{ t, id int }
-	nG := len(w.c.Gates)
+func analyzeLine(w *window, onF bool, frame, pos int, db *cubeDB) ([]cubeLit, bool) {
+	type node struct{ t, p int }
+	s := w.s
 	seen := make(map[int]bool)
 	litVal := make(map[int32]sim.Val)
-	stack := []node{{frame, gate}}
+	stack := []node{{frame, pos}}
 	addLit := func(v int32, val sim.Val) bool {
 		if prev, ok := litVal[v]; ok {
 			return prev == val
@@ -268,34 +268,34 @@ func analyzeLine(w *window, onF bool, frame, gate int, db *cubeDB) ([]cubeLit, b
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		key := n.t*nG + n.id
+		key := n.t*w.n + n.p
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		v := railVal(w, onF, n.t, n.id)
+		v := railVal(w, onF, n.t, n.p)
 		if v == sim.VX {
 			return nil, false
 		}
 		// Stem injection pins the whole faulty-rail value: axiom.
-		if onF && n.id == w.fGate && w.fPin < 0 {
+		if onF && n.p == w.fPos && w.fPin < 0 {
 			continue
 		}
-		g := &w.c.Gates[n.id]
-		// pinVal is the effective value gate n.id sees on a fanin pin,
-		// with branch-fault injection applied on the faulty rail.
+		fan := s.Fanin[s.FaninOff[n.p]:s.FaninOff[n.p+1]]
+		injected := func(pin int) bool { return onF && n.p == w.fPos && pin == w.fPin }
+		// pinVal is the effective value position n.p sees on a fanin
+		// pin, with branch-fault injection applied on the faulty rail.
 		pinVal := func(pin int) sim.Val {
-			if onF && n.id == w.fGate && pin == w.fPin {
+			if injected(pin) {
 				return w.fSA
 			}
-			return railVal(w, onF, n.t, g.Fanin[pin])
+			return railVal(w, onF, n.t, int(fan[pin]))
 		}
-		injected := func(pin int) bool { return onF && n.id == w.fGate && pin == w.fPin }
-		switch g.Type {
+		switch kind := s.Kind[n.p]; kind {
 		case netlist.Const0, netlist.Const1:
 			// Constants contribute no literal.
 		case netlist.Input:
-			idx := w.piIdx[n.id]
+			idx := int(s.PIAt[n.p])
 			av := w.piVals[n.t][idx]
 			if av == sim.VX || !addLit(db.varOf(pseudoInput{frame: n.t, index: idx}), av) {
 				return nil, false
@@ -305,21 +305,21 @@ func analyzeLine(w *window, onF bool, frame, gate int, db *cubeDB) ([]cubeLit, b
 				continue // D-pin fault pins the captured faulty value
 			}
 			if n.t == 0 {
-				idx := w.dffIdx[n.id]
+				idx := int(s.DFFAt[n.p])
 				av := w.stateVals[idx]
 				if av == sim.VX || !addLit(db.varOf(pseudoInput{isState: true, index: idx}), av) {
 					return nil, false
 				}
 			} else {
-				stack = append(stack, node{n.t - 1, g.Fanin[0]})
+				stack = append(stack, node{n.t - 1, int(fan[0])})
 			}
 		case netlist.Buf, netlist.Output, netlist.Not:
 			if injected(0) {
 				continue
 			}
-			stack = append(stack, node{n.t, g.Fanin[0]})
+			stack = append(stack, node{n.t, int(fan[0])})
 		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
-			ctrl, inv, _ := controlling(g.Type)
+			ctrl, inv, _ := controlling(kind)
 			u := v
 			if inv {
 				u = sim.NotV(u)
@@ -328,12 +328,12 @@ func analyzeLine(w *window, onF bool, frame, gate int, db *cubeDB) ([]cubeLit, b
 				// One controlling fanin suffices; take the first in pin
 				// order for determinism.
 				found := false
-				for pin := range g.Fanin {
+				for pin, f := range fan {
 					if pinVal(pin) != ctrl {
 						continue
 					}
 					if !injected(pin) {
-						stack = append(stack, node{n.t, g.Fanin[pin]})
+						stack = append(stack, node{n.t, int(f)})
 					}
 					found = true
 					break
@@ -343,19 +343,19 @@ func analyzeLine(w *window, onF bool, frame, gate int, db *cubeDB) ([]cubeLit, b
 				}
 			} else {
 				// Non-controlling output needs every fanin.
-				for pin := range g.Fanin {
+				for pin, f := range fan {
 					if injected(pin) {
 						continue
 					}
-					stack = append(stack, node{n.t, g.Fanin[pin]})
+					stack = append(stack, node{n.t, int(f)})
 				}
 			}
 		case netlist.Xor, netlist.Xnor:
-			for pin := range g.Fanin {
+			for pin, f := range fan {
 				if injected(pin) {
 					continue
 				}
-				stack = append(stack, node{n.t, g.Fanin[pin]})
+				stack = append(stack, node{n.t, int(f)})
 			}
 		default:
 			return nil, false
@@ -451,22 +451,12 @@ func (e *Engine) seedLemmas(db *cubeDB, targets []targetLine) {
 			continue
 		}
 		for _, t := range targets {
-			if e.dffBit(t.dff) == lc.Bit && t.val != lc.Val {
+			if t.bit == lc.Bit && t.val != lc.Val {
 				db.seedLemma(lc.Cube)
 				break
 			}
 		}
 	}
-}
-
-// dffBit maps a DFF gate id to its state-bit position.
-func (e *Engine) dffBit(dff int) int {
-	for i, id := range e.c.DFFs {
-		if id == dff {
-			return i
-		}
-	}
-	return -1
 }
 
 // CubeRecord describes one learned blocking cube for the differential

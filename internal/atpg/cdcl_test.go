@@ -119,10 +119,6 @@ func TestCdclEffortNotWorse(t *testing.T) {
 // conflict would prune regions that were never refuted.
 func TestCdclCubeReplay(t *testing.T) {
 	c := synthC(t, 7, 5)
-	order, err := c.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults := fault.CollapsedUniverse(c)
 	cap := 12
 	if testing.Short() {
@@ -154,7 +150,7 @@ func TestCdclCubeReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ri, rec := range recs {
-			w := newWindow(c, order, rec.K, &f)
+			w := newWindow(soaOf(t, c), rec.K, &f)
 			for _, l := range rec.Lits {
 				if l.IsState {
 					w.setState(l.Index, l.Val)
@@ -163,7 +159,7 @@ func TestCdclCubeReplay(t *testing.T) {
 				}
 			}
 			w.simulate()
-			if got := railVal(w, rec.OnF, rec.Frame, rec.Gate); got != rec.Val {
+			if got := railVal(w, rec.OnF, rec.Frame, int(w.s.Pos[rec.Gate])); got != rec.Val {
 				t.Errorf("fault %v cube %d: replay of %d lits on frame %d gate %d (onF=%v) gives %v, analyzer claimed %v",
 					f, ri, len(rec.Lits), rec.Frame, rec.Gate, rec.OnF, got, rec.Val)
 			}

@@ -199,9 +199,11 @@ func (s Stats) FE() float64 {
 
 // Engine is one ATPG run over one circuit.
 type Engine struct {
-	c     *netlist.Circuit
-	cfg   Config
-	order []int
+	c   *netlist.Circuit
+	cfg Config
+	// soa is the circuit view every window of this engine runs on: the
+	// one the fault simulator builds, shared read-only.
+	soa   *netlist.SoA
 	scoap *SCOAP
 	// obsDist approximates per-gate distance to a primary output.
 	obsDist []int
@@ -263,7 +265,7 @@ func New(c *netlist.Circuit, cfg Config) (*Engine, error) {
 	if c.ResetPI < 0 {
 		return nil, fmt.Errorf("atpg: circuit %s has no reset line", c.Name)
 	}
-	order, err := c.TopoOrder()
+	fsim, err := fault.NewSimulator(c)
 	if err != nil {
 		return nil, err
 	}
@@ -279,19 +281,16 @@ func New(c *netlist.Circuit, cfg Config) (*Engine, error) {
 	e := &Engine{
 		c:            c,
 		cfg:          cfg,
-		order:        order,
+		soa:          fsim.SoA(),
 		scoap:        computeSCOAP(c),
 		obsDist:      computeObsDist(c),
 		failedCubes:  map[string]bool{},
 		achieved:     map[string][][]sim.Val{},
 		sharedFailed: map[string]bool{},
 		lemmas:       map[string]bool{},
+		fsim:         fsim,
 	}
 	e.Stats.StatesTraversed = map[uint64]bool{}
-	e.fsim, err = fault.NewSimulator(c)
-	if err != nil {
-		return nil, err
-	}
 	if err := e.computeFlush(); err != nil {
 		return nil, err
 	}
@@ -399,7 +398,7 @@ func (e *Engine) charge(evals int64) bool {
 // newWin builds a k-frame window wired to the engine's configuration
 // (oblivious reference mode when Config.ObliviousSim is set).
 func (e *Engine) newWin(k int, flt *fault.Fault) *window {
-	w := newWindow(e.c, e.order, k, flt)
+	w := newWindow(e.soa, k, flt)
 	w.oblivious = e.cfg.ObliviousSim
 	return w
 }
@@ -578,8 +577,8 @@ func (e *Engine) faultyFlushState(f *fault.Fault) []V5 {
 	}
 	e.charge(int64(w.simulate()))
 	out := make([]V5, len(e.c.DFFs))
-	for i, id := range e.c.DFFs {
-		out[i] = w.faninValAt(k-1, id, 0)
+	for i := range out {
+		out[i] = w.dLine(k-1, i)
 	}
 	return out
 }
@@ -686,8 +685,7 @@ func (e *Engine) justify(f *fault.Fault, faultyReset []V5, cube []sim.Val, depth
 		if v == sim.VX {
 			continue
 		}
-		dff := e.c.DFFs[i]
-		targets = append(targets, targetLine{gate: e.c.Gates[dff].Fanin[0], dff: dff, val: v})
+		targets = append(targets, targetLine{bit: i, val: v})
 	}
 	w := e.newWin(1, f)
 	prob := &justifyProblem{targets: targets}
@@ -778,7 +776,7 @@ func (e *Engine) verifyJustification(f *fault.Fault, vecs [][]sim.Val, cube []si
 		if v == sim.VX {
 			continue
 		}
-		got := w.faninValAt(k-1, e.c.DFFs[i], 0)
+		got := w.dLine(k-1, i)
 		if got.G != v || got.F != v {
 			return false
 		}

@@ -13,10 +13,11 @@ type pseudoInput struct {
 	index   int // PI position or state bit position
 }
 
-// objective is a desired good value on a line of some frame.
+// objective is a desired good value on a line (a window position) of
+// some frame.
 type objective struct {
 	frame int
-	gate  int
+	pos   int
 	val   sim.Val
 }
 
@@ -170,7 +171,7 @@ func (e *Engine) podem(w *window, prob problem, backtrackLimit int, db *cubeDB, 
 			case wt.kind == witnessAlways:
 				return false, searchExhausted
 			case wt.kind == witnessLine:
-				lits, analyzed := analyzeLine(w, wt.onF, wt.frame, wt.gate, db)
+				lits, analyzed := analyzeLine(w, wt.onF, wt.frame, wt.pos, db)
 				if analyzed && len(lits) == 0 {
 					// The conflict holds under the empty assignment: the
 					// problem is unsatisfiable outright.
@@ -369,8 +370,8 @@ func recordCube(w *window, wt conflictWitness, lits []cubeLit, db *cubeDB) CubeR
 	rec := CubeRecord{
 		OnF:   wt.onF,
 		Frame: wt.frame,
-		Gate:  wt.gate,
-		Val:   railVal(w, wt.onF, wt.frame, wt.gate),
+		Gate:  int(w.s.Order[wt.pos]),
+		Val:   railVal(w, wt.onF, wt.frame, wt.pos),
 		K:     w.k,
 	}
 	for _, l := range lits {
@@ -386,39 +387,36 @@ func recordCube(w *window, wt conflictWitness, lits []cubeLit, db *cubeDB) CubeR
 // walking backward through the good-value circuit. ok=false when no
 // X path exists from the objective to an assignable input.
 func (e *Engine) backtrace(w *window, obj objective) (pseudoInput, sim.Val, bool) {
-	frame, id, want := obj.frame, obj.gate, obj.val
+	s := w.s
+	frame, p, want := obj.frame, obj.pos, obj.val
 	for hops := 0; hops < 10000; hops++ {
-		g := w.c.Gates[id]
-		switch g.Type {
+		fan := s.Fanin[s.FaninOff[p]:s.FaninOff[p+1]]
+		switch kind := s.Kind[p]; kind {
 		case netlist.Input:
-			idx := w.piIdx[id]
+			idx := int(s.PIAt[p])
 			if w.piVals[frame][idx] != sim.VX {
 				return pseudoInput{}, 0, false // already assigned; conflict upstream
 			}
 			return pseudoInput{frame: frame, index: idx}, want, true
 		case netlist.DFF:
 			if frame == 0 {
-				idx := w.dffIdx[id]
+				idx := int(s.DFFAt[p])
 				if w.stateVals[idx] != sim.VX {
 					return pseudoInput{}, 0, false
 				}
 				return pseudoInput{isState: true, index: idx}, want, true
 			}
 			frame--
-			id = g.Fanin[0]
-		case netlist.Const0, netlist.Const1, netlist.Output:
-			if g.Type == netlist.Output {
-				id = g.Fanin[0]
-				continue
-			}
+			p = int(fan[0])
+		case netlist.Const0, netlist.Const1:
 			return pseudoInput{}, 0, false // constants cannot be set
-		case netlist.Buf:
-			id = g.Fanin[0]
+		case netlist.Output, netlist.Buf:
+			p = int(fan[0])
 		case netlist.Not:
-			id = g.Fanin[0]
+			p = int(fan[0])
 			want = sim.NotV(want)
 		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
-			ctrl, inv, _ := controlling(g.Type)
+			ctrl, inv, _ := controlling(kind)
 			need := want
 			if inv {
 				need = sim.NotV(need)
@@ -426,25 +424,25 @@ func (e *Engine) backtrace(w *window, obj objective) (pseudoInput, sim.Val, bool
 			// need is the pre-inversion AND/OR level now.
 			wantCtrl := need == ctrl
 			best, bestCost := -1, int(^uint(0)>>1)
-			for pin := range g.Fanin {
-				f := g.Fanin[pin]
+			for _, f := range fan {
 				if w.vals[frame][f].G != sim.VX {
 					continue
 				}
-				cost := e.scoap.cost(f, ctrl == sim.V1)
+				id := int(s.Order[f])
+				cost := e.scoap.cost(id, ctrl == sim.V1)
 				if !wantCtrl {
-					cost = e.scoap.cost(f, ctrl != sim.V1)
+					cost = e.scoap.cost(id, ctrl != sim.V1)
 					// Hardest-first for the all-inputs case.
 					cost = -cost
 				}
 				if best < 0 || cost < bestCost {
-					best, bestCost = f, cost
+					best, bestCost = int(f), cost
 				}
 			}
 			if best < 0 {
 				return pseudoInput{}, 0, false
 			}
-			id = best
+			p = best
 			if wantCtrl {
 				want = ctrl
 			} else {
@@ -453,21 +451,21 @@ func (e *Engine) backtrace(w *window, obj objective) (pseudoInput, sim.Val, bool
 		case netlist.Xor, netlist.Xnor:
 			// Pick an X input; aim for the value that makes the output
 			// match given the other input (or 0 if both unknown).
-			a, b := g.Fanin[0], g.Fanin[1]
+			a, b := int(fan[0]), int(fan[1])
 			va, vb := w.vals[frame][a].G, w.vals[frame][b].G
 			need := want
-			if g.Type == netlist.Xnor {
+			if kind == netlist.Xnor {
 				need = sim.NotV(need)
 			}
 			switch {
 			case va == sim.VX && vb != sim.VX:
-				id = a
+				p = a
 				want = sim.XorV(need, vb)
 			case vb == sim.VX && va != sim.VX:
-				id = b
+				p = b
 				want = sim.XorV(need, va)
 			case va == sim.VX && vb == sim.VX:
-				id = a
+				p = a
 				want = need // pair with b=0 later
 			default:
 				return pseudoInput{}, 0, false

@@ -61,8 +61,8 @@ func (p *detectProblem) success(w *window) bool {
 func (p *detectProblem) witness(w *window) conflictWitness {
 	lg := w.faultLineGood()
 	if lg != sim.VX && lg == w.flt.SA {
-		gate, _ := w.excitationObjective()
-		return conflictWitness{kind: witnessLine, frame: 0, gate: gate}
+		pos, _ := w.excitationObjective()
+		return conflictWitness{kind: witnessLine, frame: 0, pos: pos}
 	}
 	return conflictWitness{}
 }
@@ -70,8 +70,8 @@ func (p *detectProblem) witness(w *window) conflictWitness {
 func (p *detectProblem) objective(w *window) (objective, bool) {
 	lg := w.faultLineGood()
 	if lg == sim.VX {
-		gate, val := w.excitationObjective()
-		return objective{frame: 0, gate: gate, val: val}, true
+		pos, val := w.excitationObjective()
+		return objective{frame: 0, pos: pos, val: val}, true
 	}
 	frontier := w.dFrontier()
 	if len(frontier) == 0 {
@@ -79,17 +79,16 @@ func (p *detectProblem) objective(w *window) (objective, bool) {
 	}
 	// Choose the frontier gate closest to a primary output (static
 	// observability distance), earliest frame first on ties.
+	order := w.s.Order
 	best := frontier[0]
-	bestDist := p.e.obsDist[best.id]
+	bestDist := p.e.obsDist[order[best.p]]
 	for _, f := range frontier[1:] {
-		if d := p.e.obsDist[f.id]; d < bestDist || (d == bestDist && f.t < best.t) {
+		if d := p.e.obsDist[order[f.p]]; d < bestDist || (d == bestDist && f.t < best.t) {
 			best, bestDist = f, d
 		}
 	}
-	g := w.c.Gates[best.id]
-	ctrl, _, hasCtrl := controlling(g.Type)
-	for pin := range g.Fanin {
-		f := g.Fanin[pin]
+	ctrl, _, hasCtrl := controlling(w.s.Kind[best.p])
+	for _, f := range w.s.Fanin[w.s.FaninOff[best.p]:w.s.FaninOff[best.p+1]] {
 		if w.vals[best.t][f].G != sim.VX {
 			continue
 		}
@@ -97,7 +96,7 @@ func (p *detectProblem) objective(w *window) (objective, bool) {
 		if hasCtrl {
 			want = sim.NotV(ctrl)
 		}
-		return objective{frame: best.t, gate: f, val: want}, true
+		return objective{frame: best.t, pos: int(f), val: want}, true
 	}
 	// Frontier gate with no X input: output X only through the fault
 	// rails; no classic objective — stuck.
@@ -106,9 +105,8 @@ func (p *detectProblem) objective(w *window) (objective, bool) {
 
 // targetLine is one required next-state bit in a justification step.
 type targetLine struct {
-	gate int // the DFF's D driver
-	dff  int // the DFF gate id (for the D-pin branch fault check)
-	val  sim.Val
+	bit int // state bit (DFF index)
+	val sim.Val
 }
 
 // justifyProblem drives PODEM to find a (previous state cube, input
@@ -123,13 +121,7 @@ type justifyProblem struct {
 
 // lineVal returns the composite value captured by the DFF of target t,
 // including a possible branch fault on the D pin.
-func (p *justifyProblem) lineVal(w *window, t targetLine) V5 {
-	v := w.vals[0][t.gate]
-	if w.flt != nil && w.flt.Gate == t.dff && w.flt.Pin == 0 {
-		v.F = w.flt.SA
-	}
-	return v
-}
+func (p *justifyProblem) lineVal(w *window, t targetLine) V5 { return w.dLine(0, t.bit) }
 
 func (p *justifyProblem) fail(w *window) bool {
 	for _, t := range p.targets {
@@ -163,13 +155,13 @@ func (p *justifyProblem) witness(w *window) conflictWitness {
 	for _, t := range p.targets {
 		v := p.lineVal(w, t)
 		if v.G != sim.VX && v.G != t.val {
-			return conflictWitness{kind: witnessLine, frame: 0, gate: t.gate}
+			return conflictWitness{kind: witnessLine, frame: 0, pos: int(w.s.DFFD[t.bit])}
 		}
 		if v.F != sim.VX && v.F != t.val {
-			if w.flt != nil && w.flt.Gate == t.dff && w.flt.Pin == 0 {
+			if w.fPos == int(w.s.DFFPos[t.bit]) && w.fPin == 0 {
 				return conflictWitness{kind: witnessAlways}
 			}
-			return conflictWitness{kind: witnessLine, onF: true, frame: 0, gate: t.gate}
+			return conflictWitness{kind: witnessLine, onF: true, frame: 0, pos: int(w.s.DFFD[t.bit])}
 		}
 	}
 	return conflictWitness{}
@@ -187,14 +179,14 @@ func (p *justifyProblem) publishLemma(e *Engine, w *window, wt conflictWitness, 
 	if !stateOnly(lits, len(w.stateVals)) {
 		return
 	}
-	forced := w.vals[0][wt.gate].G
+	forced := w.vals[0][wt.pos].G
 	if forced == sim.VX {
 		return
 	}
 	cube := stateCubeOf(lits, len(w.stateVals))
 	for _, t := range p.targets {
-		if t.gate == wt.gate && t.val != forced {
-			e.publishLemma(LearnedCube{Cube: cube, Bit: w.dffIdx[t.dff], Val: forced})
+		if int(w.s.DFFD[t.bit]) == wt.pos && t.val != forced {
+			e.publishLemma(LearnedCube{Cube: cube, Bit: t.bit, Val: forced})
 		}
 	}
 }
@@ -202,7 +194,7 @@ func (p *justifyProblem) publishLemma(e *Engine, w *window, wt conflictWitness, 
 func (p *justifyProblem) objective(w *window) (objective, bool) {
 	for _, t := range p.targets {
 		if p.lineVal(w, t).G == sim.VX {
-			return objective{frame: 0, gate: t.gate, val: t.val}, true
+			return objective{frame: 0, pos: int(w.s.DFFD[t.bit]), val: t.val}, true
 		}
 	}
 	return objective{}, false

@@ -219,7 +219,7 @@ func (e *Engine) ResumeFaults(ctx context.Context, faults []fault.Fault, from *S
 		}
 		// charge is denominated in gate evaluations; a simulator pass
 		// over one vector touches every gate once.
-		e.charge(fsimPasses(len(live)) * int64(len(seq)) * int64(len(e.order)))
+		e.charge(fsimPasses(len(live)) * int64(len(seq)) * int64(e.soa.NumGates()))
 		for k, d := range det {
 			if d {
 				rs.status[liveIdx[k]] = 1

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"math/bits"
 	"sort"
 
 	"seqatpg/internal/fault"
@@ -14,52 +15,60 @@ import (
 // (if any) is injected in every frame, as a permanent stuck-at defect
 // is present in every time frame.
 //
-// Simulation is event-driven: setPI/setState record the touched input
-// gates as seeds, and simulate re-evaluates only their fanout cones in
-// topological order per frame, crossing a DFF boundary into the next
-// frame only when the captured D value actually changed. The
-// post-simulation snapshot (D-frontier, PO detection, last-frame D
-// lines) is maintained incrementally by the same pass. A per-frame
-// oblivious sweep remains as a fallback once an event cascade grows
-// past fallbackEvals (mirroring fault.Simulator.FallbackEvals), and as
-// the uncharged reference pass in oblivious verification mode.
+// The window runs on the engine's structure-of-arrays circuit view
+// (netlist.SoA), built once per engine and shared read-only by every
+// window: values, pending events and snapshot flags are indexed by
+// topological position, fanins and fanouts come from the SoA's CSR
+// arrays, and PI, DFF and D-line lookups from its position tables. A
+// window therefore allocates only its own value rows. Callers speak
+// positions too; gate ids appear only where a tie-break is keyed on
+// them (SCOAP cost, observability distance).
+//
+// Simulation is event-driven: setPI/setState mark the touched input
+// positions in a per-frame pending bitset, and simulate drains each
+// frame's bitset in ascending position order (bits.TrailingZeros64,
+// as the fault kernel drains its own). Same-frame fanouts always sit
+// at higher positions, so the ascending scan evaluates every gate after
+// its changed fanins, in exactly topological order; a change on a D
+// line marks the DFF in the next frame. The post-simulation snapshot
+// (D-frontier, PO detection, last-frame D lines) is maintained
+// incrementally by the same pass. Once a frame's cascade reaches 3/4
+// of the gate count the rest of the frame is finished with one
+// oblivious sweep (mirroring the fault kernel's fallback); a full
+// sweep is also the uncharged reference pass of oblivious verification
+// mode.
 type window struct {
-	c     *netlist.Circuit
-	order []int
-	k     int
-	flt   *fault.Fault // nil in good-machine justification mode
+	s   *netlist.SoA
+	n   int // positions per frame
+	k   int
+	flt *fault.Fault // nil in good-machine justification mode
 
 	piVals    [][]sim.Val // [frame][pi] assigned values; VX = unassigned
 	stateVals []sim.Val   // frame-0 pseudo-input state; VX = unassigned
-	vals      [][]V5      // [frame][gate] composite values
+	vals      [][]V5      // [frame][position] composite values
 
-	dffIdx map[int]int // gate id -> state bit position
-	piIdx  map[int]int // gate id -> PI position
-
-	// Static topology, shared with the circuit: pos is the inverse of
-	// order, fanouts the forward adjacency, dffBits maps a D-line driver
-	// to the state-bit positions it feeds (for last-frame D tracking).
-	pos     []int
-	fanouts [][]int
-	dffBits map[int][]int
-
-	// Hoisted fault-injection site (-1s when flt is nil, so no real
-	// gate matches and the non-faulted path never branches on it).
-	fGate, fPin int
-	fSA         sim.Val
+	// Hoisted fault-injection site: the faulted gate's position, the
+	// pin (-1 for a stem fault) and the stuck-at value. fPos is -1 when
+	// flt is nil, so no position matches and the non-faulted path never
+	// branches on it.
+	fPos, fPin int
+	fSA        sim.Val
 
 	// Event machinery. full forces the next simulate to sweep
-	// everything (fresh window, or after invalidate); seeds[t] lists
-	// the gates whose inputs changed in frame t, pending dedupes them.
-	full    bool
-	seeds   [][]int
-	pending []bool // [t*nGates+id]
-	pq      []int  // per-frame min-heap of gate ids, ordered by pos
+	// everything (fresh window, or after invalidate). pend holds one
+	// bitset of pending positions per frame, words uint64s each; lo[t]
+	// is the lowest word of frame t that may hold a bit (words when the
+	// frame has none), so quiet frames cost one compare.
+	full  bool
+	words int
+	pend  []uint64
+	lo    []int
 
 	// fallbackEvals is the per-frame event-cascade threshold beyond
 	// which the frame is finished with one oblivious sweep: > 0 is an
 	// explicit gate count, 0 selects the default of 3/4 of the gate
-	// count, < 0 disables the fallback (pure event-driven).
+	// count, < 0 disables the fallback (pure event-driven). The engine
+	// always runs the default; the differential tests set the others.
 	fallbackEvals int
 
 	// oblivious makes every simulate finish with an uncharged
@@ -74,77 +83,68 @@ type window struct {
 	// is kept sorted by (frame, topological position) — the order the
 	// full rescan produces — because objective selection tie-breaks on
 	// first encounter.
-	poD        []bool // [t*nGates+id], Output gates only
+	poD        []bool // [t*n+p], Output gates only
 	poDCount   int
 	frontier   []frontierEntry
-	inFrontier []bool // [t*nGates+id]
+	inFrontier []bool // [t*n+p]
 	dLastD     []bool // per state bit: last-frame D line carries an effect
 	dLastCount int
 	lineGood   sim.Val
 }
 
-type frontierEntry struct{ t, id int }
+// frontierEntry is a D-frontier gate: frame t, position p.
+type frontierEntry struct{ t, p int }
 
-func newWindow(c *netlist.Circuit, order []int, k int, flt *fault.Fault) *window {
+func newWindow(s *netlist.SoA, k int, flt *fault.Fault) *window {
+	n := s.NumGates()
 	w := &window{
-		c:       c,
-		order:   order,
-		k:       k,
-		flt:     flt,
-		dffIdx:  map[int]int{},
-		piIdx:   map[int]int{},
-		dffBits: map[int][]int{},
-		fGate:   -1,
-		fPin:    -1,
-		full:    true,
+		s:     s,
+		n:     n,
+		k:     k,
+		flt:   flt,
+		fPos:  -1,
+		fPin:  -1,
+		full:  true,
+		words: (n + 63) / 64,
 	}
 	if flt != nil {
-		w.fGate, w.fPin, w.fSA = flt.Gate, flt.Pin, flt.SA
+		w.fPos, w.fPin, w.fSA = int(s.Pos[flt.Gate]), flt.Pin, flt.SA
 	}
-	for i, id := range c.DFFs {
-		w.dffIdx[id] = i
-		drv := c.Gates[id].Fanin[0]
-		w.dffBits[drv] = append(w.dffBits[drv], i)
+	nPI := len(s.PIPos)
+	pis := make([]sim.Val, k*nPI+s.NumDFFs())
+	for i := range pis {
+		pis[i] = sim.VX
 	}
-	for i, id := range c.PIs {
-		w.piIdx[id] = i
-	}
-	w.pos = make([]int, len(c.Gates))
-	for i, id := range order {
-		w.pos[id] = i
-	}
-	w.fanouts = c.Fanouts()
 	w.piVals = make([][]sim.Val, k)
 	for t := range w.piVals {
-		w.piVals[t] = make([]sim.Val, len(c.PIs))
-		for i := range w.piVals[t] {
-			w.piVals[t][i] = sim.VX
-		}
+		w.piVals[t] = pis[t*nPI : (t+1)*nPI : (t+1)*nPI]
 	}
-	w.stateVals = make([]sim.Val, len(c.DFFs))
-	for i := range w.stateVals {
-		w.stateVals[i] = sim.VX
-	}
+	w.stateVals = pis[k*nPI:]
+	rows := make([]V5, k*n)
 	w.vals = make([][]V5, k)
 	for t := range w.vals {
-		w.vals[t] = make([]V5, len(c.Gates))
+		w.vals[t] = rows[t*n : (t+1)*n : (t+1)*n]
 	}
-	w.seeds = make([][]int, k)
-	w.pending = make([]bool, k*len(c.Gates))
-	w.poD = make([]bool, k*len(c.Gates))
-	w.inFrontier = make([]bool, k*len(c.Gates))
-	w.dLastD = make([]bool, len(c.DFFs))
+	w.pend = make([]uint64, k*w.words)
+	w.lo = make([]int, k)
+	for t := range w.lo {
+		w.lo[t] = w.words
+	}
+	flags := make([]bool, 2*k*n+s.NumDFFs())
+	w.poD = flags[: k*n : k*n]
+	w.inFrontier = flags[k*n : 2*k*n : 2*k*n]
+	w.dLastD = flags[2*k*n:]
 	return w
 }
 
-// setPI assigns a primary input of frame t, seeding the event queue
-// when the value actually changes.
+// setPI assigns a primary input of frame t, marking it pending when the
+// value actually changes.
 func (w *window) setPI(t, i int, v sim.Val) {
 	if w.piVals[t][i] == v {
 		return
 	}
 	w.piVals[t][i] = v
-	w.mark(t, w.c.PIs[i])
+	w.mark(t, int(w.s.PIPos[i]))
 }
 
 // setState assigns a frame-0 pseudo-input state bit.
@@ -153,20 +153,27 @@ func (w *window) setState(i int, v sim.Val) {
 		return
 	}
 	w.stateVals[i] = v
-	w.mark(0, w.c.DFFs[i])
+	w.mark(0, int(w.s.DFFPos[i]))
 }
 
-// mark queues gate id for re-evaluation in frame t.
-func (w *window) mark(t, id int) {
+// mark queues position p for re-evaluation in frame t.
+func (w *window) mark(t, p int) {
 	if w.full {
 		return // the next simulate sweeps everything anyway
 	}
-	key := t*len(w.c.Gates) + id
-	if w.pending[key] {
-		return
+	wi := p >> 6
+	w.pend[t*w.words+wi] |= 1 << uint(p&63)
+	if wi < w.lo[t] {
+		w.lo[t] = wi
 	}
-	w.pending[key] = true
-	w.seeds[t] = append(w.seeds[t], id)
+}
+
+// clearPending drops every queued event.
+func (w *window) clearPending() {
+	clear(w.pend)
+	for t := range w.lo {
+		w.lo[t] = w.words
+	}
 }
 
 // invalidate forces the next simulate to recompute the window from
@@ -174,13 +181,7 @@ func (w *window) mark(t, id int) {
 // setPI/setState — e.g. bulk vector loads).
 func (w *window) invalidate() {
 	w.full = true
-	nG := len(w.c.Gates)
-	for t := range w.seeds {
-		for _, id := range w.seeds[t] {
-			w.pending[t*nG+id] = false
-		}
-		w.seeds[t] = w.seeds[t][:0]
-	}
+	w.clearPending()
 }
 
 // simulate brings the window up to date with the current pseudo-input
@@ -193,7 +194,7 @@ func (w *window) simulate() int {
 	if w.full {
 		w.full = false
 		w.sweepAll()
-		return w.k * len(w.order)
+		return w.k * w.n
 	}
 	evals := w.propagate()
 	if w.flt != nil {
@@ -205,57 +206,47 @@ func (w *window) simulate() int {
 	return evals
 }
 
-// propagate drains the event queues frame by frame. Within a frame the
-// pending gates are popped in topological order (same-frame fanout of a
-// gate always sits at a strictly greater position, so heap pops are
-// non-decreasing and every gate is evaluated after its changed fanins);
-// a change on a DFF D line seeds the DFF in the next frame. Once a
-// frame's cascade exceeds the fallback threshold the rest of the frame
-// is finished with one oblivious sweep.
+// propagate drains the pending bitsets frame by frame, each in
+// ascending position order; every evaluation is charged. A changed gate
+// marks its same-frame fanouts (all at higher positions, so the scan
+// still reaches them) and the DFFs its D line feeds in the next frame.
+// Once a frame's cascade reaches the fallback threshold the rest of the
+// frame is finished with one oblivious sweep, charged at the full gate
+// count.
 func (w *window) propagate() int {
-	nG := len(w.c.Gates)
 	threshold := w.fallbackEvals
 	if threshold == 0 {
-		threshold = 3 * len(w.order) / 4
+		threshold = 3 * w.n / 4
 	}
+	fout, foutOff := w.s.Fout, w.s.FoutOff
 	evals := 0
 	for t := 0; t < w.k; t++ {
-		if len(w.seeds[t]) == 0 {
+		lo := w.lo[t]
+		if lo == w.words {
 			continue
 		}
-		w.pq = w.pq[:0]
-		for _, id := range w.seeds[t] {
-			w.heapPush(id)
-		}
-		w.seeds[t] = w.seeds[t][:0]
+		w.lo[t] = w.words
+		pend := w.pend[t*w.words : (t+1)*w.words]
 		frameEvals := 0
-		for len(w.pq) > 0 {
-			if threshold > 0 && frameEvals >= threshold {
-				for _, id := range w.pq {
-					w.pending[t*nG+id] = false
+	drain:
+		for wi := lo; wi < len(pend); wi++ {
+			for pend[wi] != 0 {
+				b := bits.TrailingZeros64(pend[wi])
+				pend[wi] &^= 1 << uint(b)
+				if threshold > 0 && frameEvals >= threshold {
+					clear(pend[wi:])
+					frameEvals += w.sweepFrame(t)
+					break drain
 				}
-				w.pq = w.pq[:0]
-				frameEvals += w.sweepFrame(t)
-				break
-			}
-			id := w.heapPop()
-			w.pending[t*nG+id] = false
-			frameEvals++
-			if !w.evalGateAt(t, id) {
-				continue
-			}
-			for _, h := range w.fanouts[id] {
-				if w.c.Gates[h].Type == netlist.DFF {
-					if t+1 < w.k {
-						w.mark(t+1, h)
-					}
+				p := wi<<6 | b
+				frameEvals++
+				if !w.evalGateAt(t, p) {
 					continue
 				}
-				key := t*nG + h
-				if !w.pending[key] {
-					w.pending[key] = true
-					w.heapPush(h)
+				for _, o := range fout[foutOff[p]:foutOff[p+1]] {
+					pend[o>>6] |= 1 << (uint32(o) & 63)
 				}
+				w.markLoads(t, p)
 			}
 		}
 		evals += frameEvals
@@ -263,20 +254,26 @@ func (w *window) propagate() int {
 	return evals
 }
 
+// markLoads marks, in frame t+1, every DFF whose D line position p
+// drives in frame t.
+func (w *window) markLoads(t, p int) {
+	if t+1 >= w.k {
+		return
+	}
+	for _, i := range w.s.DLoad[w.s.DLoadOff[p]:w.s.DLoadOff[p+1]] {
+		w.mark(t+1, int(w.s.DFFPos[i]))
+	}
+}
+
 // sweepFrame re-evaluates every gate of frame t in topological order,
-// seeding the next frame for every changed D line.
+// marking the next frame's DFF for every changed D line.
 func (w *window) sweepFrame(t int) int {
-	for _, id := range w.order {
-		if !w.evalGateAt(t, id) || t+1 >= w.k {
-			continue
-		}
-		for _, h := range w.fanouts[id] {
-			if w.c.Gates[h].Type == netlist.DFF {
-				w.mark(t+1, h)
-			}
+	for p := 0; p < w.n; p++ {
+		if w.evalGateAt(t, p) {
+			w.markLoads(t, p)
 		}
 	}
-	return len(w.order)
+	return w.n
 }
 
 // sweepAll recomputes every frame from scratch and rebuilds the
@@ -284,91 +281,72 @@ func (w *window) sweepFrame(t int) int {
 func (w *window) sweepAll() {
 	for t := 0; t < w.k; t++ {
 		vals := w.vals[t]
-		for _, id := range w.order {
-			g := &w.c.Gates[id]
+		for p := range vals {
 			if w.flt == nil {
-				vals[id] = w.computeGood(t, id, g)
+				vals[p] = w.computeGood(t, p)
 			} else {
-				vals[id] = w.computeComposite(t, id, g)
+				vals[p] = w.computeComposite(t, p)
 			}
 		}
 	}
-	nG := len(w.c.Gates)
-	for t := range w.seeds {
-		for _, id := range w.seeds[t] {
-			w.pending[t*nG+id] = false
-		}
-		w.seeds[t] = w.seeds[t][:0]
-	}
+	w.clearPending()
 	w.refresh()
 }
 
 // evalGateAt recomputes one gate of one frame, updates the snapshot for
 // it, and reports whether its value changed.
-func (w *window) evalGateAt(t, id int) bool {
-	g := &w.c.Gates[id]
+func (w *window) evalGateAt(t, p int) bool {
 	var v V5
 	if w.flt == nil {
-		v = w.computeGood(t, id, g)
+		v = w.computeGood(t, p)
 	} else {
-		v = w.computeComposite(t, id, g)
+		v = w.computeComposite(t, p)
 	}
-	changed := v != w.vals[t][id]
-	w.vals[t][id] = v
-	w.updateSnapshotAt(t, id, g)
+	changed := v != w.vals[t][p]
+	w.vals[t][p] = v
+	if w.flt != nil {
+		w.updateSnapshotAt(t, p)
+	}
 	return changed
 }
 
 // computeGood evaluates one gate on the good rail only — the fast path
 // for fault-free (justification-mode) windows, where the faulty rail
 // always mirrors the good one and no injection checks are needed.
-func (w *window) computeGood(t, id int, g *netlist.Gate) V5 {
+func (w *window) computeGood(t, p int) V5 {
+	s := w.s
 	vals := w.vals[t]
+	fan := s.Fanin[s.FaninOff[p]:s.FaninOff[p+1]]
 	var gv sim.Val
-	switch g.Type {
+	switch kind := s.Kind[p]; kind {
 	case netlist.Input:
-		gv = w.piVals[t][w.piIdx[id]]
+		gv = w.piVals[t][s.PIAt[p]]
 	case netlist.DFF:
 		if t == 0 {
-			gv = w.stateVals[w.dffIdx[id]]
+			gv = w.stateVals[s.DFFAt[p]]
 		} else {
-			gv = w.vals[t-1][g.Fanin[0]].G
+			gv = w.vals[t-1][fan[0]].G
 		}
 	case netlist.Const0:
 		gv = sim.V0
 	case netlist.Const1:
 		gv = sim.V1
 	case netlist.Buf, netlist.Output:
-		gv = vals[g.Fanin[0]].G
+		gv = vals[fan[0]].G
 	case netlist.Not:
-		gv = sim.NotV(vals[g.Fanin[0]].G)
-	case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
-		ctrl := sim.V0
-		if g.Type == netlist.Or || g.Type == netlist.Nor {
-			ctrl = sim.V1
+		gv = notV[vals[fan[0]].G]
+	case netlist.And, netlist.Or, netlist.Nand, netlist.Nor:
+		var m uint8
+		for _, f := range fan {
+			m |= 1 << vals[f].G
 		}
-		acc, sawX := sim.NotV(ctrl), false
-		for _, f := range g.Fanin {
-			in := vals[f].G
-			if in == ctrl {
-				acc = ctrl
-			} else if in == sim.VX {
-				sawX = true
-			}
-		}
-		if acc != ctrl && sawX {
-			acc = sim.VX
-		}
-		if g.Type == netlist.Nand || g.Type == netlist.Nor {
-			acc = sim.NotV(acc)
-		}
-		gv = acc
+		gv = foldTab[kind-netlist.And][m].G
 	case netlist.Xor, netlist.Xnor:
 		acc := sim.V0
-		for _, f := range g.Fanin {
+		for _, f := range fan {
 			acc = sim.XorV(acc, vals[f].G)
 		}
-		if g.Type == netlist.Xnor {
+		if kind == netlist.Xnor {
 			acc = sim.NotV(acc)
 		}
 		gv = acc
@@ -378,19 +356,26 @@ func (w *window) computeGood(t, id int, g *netlist.Gate) V5 {
 
 // computeComposite evaluates one gate on both rails with the target
 // fault injected; the inner loop is allocation-free — both rails are
-// folded directly over the fanins.
-func (w *window) computeComposite(t, id int, g *netlist.Gate) V5 {
+// folded directly over the fanins. Only the faulted position checks
+// for injection.
+func (w *window) computeComposite(t, p int) V5 {
+	s := w.s
 	vals := w.vals[t]
+	fan := s.Fanin[s.FaninOff[p]:s.FaninOff[p+1]]
+	injPin := -2 // matches no pin
+	if p == w.fPos {
+		injPin = w.fPin
+	}
 	var v V5
-	switch g.Type {
+	switch kind := s.Kind[p]; kind {
 	case netlist.Input:
-		v = vBoth(w.piVals[t][w.piIdx[id]])
+		v = vBoth(w.piVals[t][s.PIAt[p]])
 	case netlist.DFF:
 		if t == 0 {
-			v = vBoth(w.stateVals[w.dffIdx[id]])
+			v = vBoth(w.stateVals[s.DFFAt[p]])
 		} else {
-			v = w.vals[t-1][g.Fanin[0]]
-			if id == w.fGate && w.fPin == 0 {
+			v = w.vals[t-1][fan[0]]
+			if injPin == 0 {
 				v.F = w.fSA
 			}
 		}
@@ -399,90 +384,89 @@ func (w *window) computeComposite(t, id int, g *netlist.Gate) V5 {
 	case netlist.Const1:
 		v = vBoth(sim.V1)
 	case netlist.Buf, netlist.Output:
-		v = vals[g.Fanin[0]]
-		if id == w.fGate && w.fPin == 0 {
+		v = vals[fan[0]]
+		if injPin == 0 {
 			v.F = w.fSA
 		}
 	case netlist.Not:
-		v = vals[g.Fanin[0]]
-		if id == w.fGate && w.fPin == 0 {
+		v = vals[fan[0]]
+		if injPin == 0 {
 			v.F = w.fSA
 		}
-		v = V5{sim.NotV(v.G), sim.NotV(v.F)}
-	case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
-		// Fold both rails. ctrl is the controlling value.
-		ctrl := sim.V0
-		if g.Type == netlist.Or || g.Type == netlist.Nor {
-			ctrl = sim.V1
-		}
-		gAcc, fAcc := sim.NotV(ctrl), sim.NotV(ctrl)
-		gSawX, fSawX := false, false
-		for pin, f := range g.Fanin {
+		v = V5{notV[v.G], notV[v.F]}
+	case netlist.And, netlist.Or, netlist.Nand, netlist.Nor:
+		var m uint8
+		for pin, f := range fan {
 			in := vals[f]
-			if id == w.fGate && pin == w.fPin {
+			if pin == injPin {
 				in.F = w.fSA
 			}
-			if in.G == ctrl {
-				gAcc = ctrl
-			} else if in.G == sim.VX {
-				gSawX = true
-			}
-			if in.F == ctrl {
-				fAcc = ctrl
-			} else if in.F == sim.VX {
-				fSawX = true
-			}
+			m |= 1<<in.G | 8<<in.F
 		}
-		if gAcc != ctrl && gSawX {
-			gAcc = sim.VX
-		}
-		if fAcc != ctrl && fSawX {
-			fAcc = sim.VX
-		}
-		if g.Type == netlist.Nand || g.Type == netlist.Nor {
-			gAcc, fAcc = sim.NotV(gAcc), sim.NotV(fAcc)
-		}
-		v = V5{gAcc, fAcc}
+		v = foldTab[kind-netlist.And][m]
 	case netlist.Xor, netlist.Xnor:
 		gAcc, fAcc := sim.V0, sim.V0
-		for pin, f := range g.Fanin {
+		for pin, f := range fan {
 			in := vals[f]
-			if id == w.fGate && pin == w.fPin {
+			if pin == injPin {
 				in.F = w.fSA
 			}
 			gAcc = sim.XorV(gAcc, in.G)
 			fAcc = sim.XorV(fAcc, in.F)
 		}
-		if g.Type == netlist.Xnor {
+		if kind == netlist.Xnor {
 			gAcc, fAcc = sim.NotV(gAcc), sim.NotV(fAcc)
 		}
 		v = V5{gAcc, fAcc}
 	}
 	// Stem fault injection.
-	if id == w.fGate && w.fPin < 0 {
+	if injPin == -1 {
 		v.F = w.fSA
 	}
 	return v
 }
 
-// updateSnapshotAt refreshes the snapshot contributions of gate id at
-// frame t: PO detection, D-frontier membership, and — when id drives a
-// last-frame DFF D line — the escaping-effect flags. It is called for
-// every evaluated gate whether or not its own value changed, because
-// frontier membership also depends on the fanin values that triggered
-// the evaluation.
-func (w *window) updateSnapshotAt(t, id int, g *netlist.Gate) {
-	if w.flt == nil {
-		return
+// notV is sim.NotV as a table.
+var notV = [3]sim.Val{sim.V1, sim.V0, sim.VX}
+
+// foldTab[kind-And][m] is the composite output of an And, Or, Nand or
+// Nor gate whose fanins show the value set m on each rail: bit v of m
+// is set when some good-rail fanin is v, bit 3+v when some faulty-rail
+// fanin is. These gates depend only on which values occur, not on how
+// often or on which pin, so folding a gate is one OR per fanin and one
+// lookup.
+var foldTab = func() (tab [4][64]V5) {
+	for kind := netlist.And; kind <= netlist.Nor; kind++ {
+		for m := range tab[kind-netlist.And] {
+			var g, f []sim.Val
+			for v := sim.V0; v <= sim.VX; v++ {
+				if m&(1<<v) != 0 {
+					g = append(g, v)
+				}
+				if m&(8<<v) != 0 {
+					f = append(f, v)
+				}
+			}
+			tab[kind-netlist.And][m] = V5{sim.EvalGate(kind, g), sim.EvalGate(kind, f)}
+		}
 	}
-	nG := len(w.c.Gates)
-	key := t*nG + id
-	switch g.Type {
+	return tab
+}()
+
+// updateSnapshotAt refreshes the snapshot contributions of position p
+// at frame t: PO detection, D-frontier membership, and — when p drives
+// a last-frame DFF D line — the escaping-effect flags. It is called for
+// every evaluated gate of a faulted window whether or not its own value
+// changed, because frontier membership also depends on the fanin values
+// that triggered the evaluation.
+func (w *window) updateSnapshotAt(t, p int) {
+	key := t*w.n + p
+	switch kind := w.s.Kind[p]; kind {
 	case netlist.Input, netlist.DFF, netlist.Const0, netlist.Const1:
 		// Sources carry no frontier or PO state of their own.
 	default:
-		if g.Type == netlist.Output {
-			d := w.vals[t][id].isD()
+		if kind == netlist.Output {
+			d := w.vals[t][p].isD()
 			if d != w.poD[key] {
 				w.poD[key] = d
 				if d {
@@ -492,20 +476,11 @@ func (w *window) updateSnapshotAt(t, id int, g *netlist.Gate) {
 				}
 			}
 		}
-		member := false
-		if !w.vals[t][id].known() {
-			for pin := range g.Fanin {
-				if w.faninVal(t, id, pin).isD() {
-					member = true
-					break
-				}
-			}
-		}
-		w.setFrontier(t, id, member)
+		w.setFrontier(t, p, !w.vals[t][p].known() && w.seesD(t, p))
 	}
 	if t == w.k-1 {
-		for _, bit := range w.dffBits[id] {
-			d := w.faninValAt(t, w.c.DFFs[bit], 0).isD()
+		for _, bit := range w.s.DLoad[w.s.DLoadOff[p]:w.s.DLoadOff[p+1]] {
+			d := w.dLine(t, int(bit)).isD()
 			if d != w.dLastD[bit] {
 				w.dLastD[bit] = d
 				if d {
@@ -518,25 +493,35 @@ func (w *window) updateSnapshotAt(t, id int, g *netlist.Gate) {
 	}
 }
 
-// setFrontier flips gate id's frame-t frontier membership, keeping the
-// frontier slice sorted by (frame, topological position) — exactly the
-// order a full rescan produces, which objective selection tie-breaks on.
-func (w *window) setFrontier(t, id int, member bool) {
-	nG := len(w.c.Gates)
-	key := t*nG + id
+// seesD reports whether position p sees a developed fault effect on at
+// least one fanin pin in frame t.
+func (w *window) seesD(t, p int) bool {
+	for pin := 0; pin < int(w.s.FaninOff[p+1]-w.s.FaninOff[p]); pin++ {
+		if w.faninVal(t, p, pin).isD() {
+			return true
+		}
+	}
+	return false
+}
+
+// setFrontier flips position p's frame-t frontier membership, keeping
+// the frontier slice sorted by (frame, topological position) — exactly
+// the order a full rescan produces, which objective selection
+// tie-breaks on.
+func (w *window) setFrontier(t, p int, member bool) {
+	key := t*w.n + p
 	if w.inFrontier[key] == member {
 		return
 	}
 	w.inFrontier[key] = member
-	sortKey := t*nG + w.pos[id]
 	i := sort.Search(len(w.frontier), func(i int) bool {
 		e := w.frontier[i]
-		return e.t*nG+w.pos[e.id] >= sortKey
+		return e.t*w.n+e.p >= key
 	})
 	if member {
 		w.frontier = append(w.frontier, frontierEntry{})
 		copy(w.frontier[i+1:], w.frontier[i:])
-		w.frontier[i] = frontierEntry{t, id}
+		w.frontier[i] = frontierEntry{t, p}
 	} else {
 		w.frontier = append(w.frontier[:i], w.frontier[i+1:]...)
 	}
@@ -544,120 +529,64 @@ func (w *window) setFrontier(t, id int, member bool) {
 
 // refresh rebuilds the post-simulation snapshot from scratch.
 func (w *window) refresh() {
-	for i := range w.poD {
-		w.poD[i] = false
-	}
-	for i := range w.inFrontier {
-		w.inFrontier[i] = false
-	}
-	for i := range w.dLastD {
-		w.dLastD[i] = false
-	}
+	clear(w.poD)
+	clear(w.inFrontier)
+	clear(w.dLastD)
 	w.frontier = w.frontier[:0]
 	w.poDCount, w.dLastCount = 0, 0
 	if w.flt == nil {
 		return
 	}
-	nG := len(w.c.Gates)
 	w.lineGood = w.faultLineGoodRaw()
 	for t := 0; t < w.k; t++ {
-		for _, id := range w.c.POs {
-			if w.vals[t][id].isD() {
-				w.poD[t*nG+id] = true
+		for _, p := range w.s.POPos {
+			if w.vals[t][p].isD() {
+				w.poD[t*w.n+int(p)] = true
 				w.poDCount++
 			}
 		}
-		for _, id := range w.order {
-			g := w.c.Gates[id]
-			if g.Type == netlist.Input || g.Type == netlist.DFF ||
-				g.Type == netlist.Const0 || g.Type == netlist.Const1 {
+		for p, kind := range w.s.Kind {
+			switch kind {
+			case netlist.Input, netlist.DFF, netlist.Const0, netlist.Const1:
 				continue
 			}
-			if w.vals[t][id].known() {
-				continue
-			}
-			for pin := range g.Fanin {
-				if w.faninVal(t, id, pin).isD() {
-					w.frontier = append(w.frontier, frontierEntry{t, id})
-					w.inFrontier[t*nG+id] = true
-					break
-				}
+			if !w.vals[t][p].known() && w.seesD(t, p) {
+				w.frontier = append(w.frontier, frontierEntry{t, p})
+				w.inFrontier[t*w.n+p] = true
 			}
 		}
 	}
-	t := w.k - 1
-	for i, id := range w.c.DFFs {
-		if w.faninValAt(t, id, 0).isD() {
+	for i := range w.dLastD {
+		if w.dLine(w.k-1, i).isD() {
 			w.dLastD[i] = true
 			w.dLastCount++
 		}
 	}
 }
 
-// heapPush/heapPop maintain pq as a min-heap on topological position.
-func (w *window) heapPush(id int) {
-	w.pq = append(w.pq, id)
-	i := len(w.pq) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if w.pos[w.pq[p]] <= w.pos[w.pq[i]] {
-			break
-		}
-		w.pq[p], w.pq[i] = w.pq[i], w.pq[p]
-		i = p
-	}
-}
-
-func (w *window) heapPop() int {
-	top := w.pq[0]
-	last := len(w.pq) - 1
-	w.pq[0] = w.pq[last]
-	w.pq = w.pq[:last]
-	i := 0
-	for {
-		l, r, s := 2*i+1, 2*i+2, i
-		if l < last && w.pos[w.pq[l]] < w.pos[w.pq[s]] {
-			s = l
-		}
-		if r < last && w.pos[w.pq[r]] < w.pos[w.pq[s]] {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		w.pq[i], w.pq[s] = w.pq[s], w.pq[i]
-		i = s
-	}
-	return top
-}
-
-// faninVal returns the composite value gate id sees on fanin pin at
+// faninVal returns the composite value position p sees on fanin pin at
 // frame t, with branch-fault injection applied.
-func (w *window) faninVal(t, id, pin int) V5 {
-	v := w.vals[t][w.c.Gates[id].Fanin[pin]]
-	if w.flt != nil && w.flt.Pin == pin && w.flt.Gate == id {
-		v.F = w.flt.SA
+func (w *window) faninVal(t, p, pin int) V5 {
+	v := w.vals[t][w.s.Fanin[int(w.s.FaninOff[p])+pin]]
+	if p == w.fPos && pin == w.fPin {
+		v.F = w.fSA
 	}
 	return v
 }
 
-// faninValAt is faninVal for a specific frame (used for the DFF D line
-// crossing from frame t-1 into frame t).
-func (w *window) faninValAt(t, id, pin int) V5 {
-	v := w.vals[t][w.c.Gates[id].Fanin[pin]]
-	if w.flt != nil && w.flt.Pin == pin && w.flt.Gate == id {
-		v.F = w.flt.SA
-	}
-	return v
+// dLine returns the composite value state bit i captures at the end of
+// frame t: its D line, with a D-pin branch fault applied.
+func (w *window) dLine(t, i int) V5 {
+	return w.faninVal(t, int(w.s.DFFPos[i]), 0)
 }
 
 // detectedAtPO reports whether any primary output in any frame exposes
 // the fault (snapshot from the last simulation).
 func (w *window) detectedAtPO() bool { return w.poDCount > 0 }
 
-// dFrontier returns the (frame, gate) pairs whose output is not fully
-// known but which see a developed fault effect on at least one fanin
-// (snapshot from the last simulation).
+// dFrontier returns the (frame, position) pairs whose output is not
+// fully known but which see a developed fault effect on at least one
+// fanin (snapshot from the last simulation).
 func (w *window) dFrontier() []frontierEntry { return w.frontier }
 
 // dReachesLastState reports whether a developed fault effect sits on a
@@ -670,24 +599,21 @@ func (w *window) dReachesLastState() bool { return w.dLastCount > 0 }
 func (w *window) faultLineGood() sim.Val { return w.lineGood }
 
 func (w *window) faultLineGoodRaw() sim.Val {
-	if w.flt.Pin < 0 {
-		return w.vals[0][w.flt.Gate].G
-	}
-	src := w.c.Gates[w.flt.Gate].Fanin[w.flt.Pin]
-	return w.vals[0][src].G
+	p, _ := w.excitationObjective()
+	return w.vals[0][p].G
 }
 
-// excitationObjective returns the (frame0) line and good value needed to
-// excite the fault.
-func (w *window) excitationObjective() (gate int, val sim.Val) {
+// excitationObjective returns the (frame-0) line position and good
+// value needed to excite the fault.
+func (w *window) excitationObjective() (pos int, val sim.Val) {
 	want := sim.V1
-	if w.flt.SA == sim.V1 {
+	if w.fSA == sim.V1 {
 		want = sim.V0
 	}
-	if w.flt.Pin < 0 {
-		return w.flt.Gate, want
+	if w.fPin < 0 {
+		return w.fPos, want
 	}
-	return w.c.Gates[w.flt.Gate].Fanin[w.flt.Pin], want
+	return int(w.s.Fanin[int(w.s.FaninOff[w.fPos])+w.fPin]), want
 }
 
 // stateView returns the frame-0 state assignment as a read-only view of
@@ -704,7 +630,7 @@ func (w *window) stateView() []sim.Val {
 func (w *window) vectors() [][]sim.Val {
 	out := make([][]sim.Val, w.k)
 	for t := 0; t < w.k; t++ {
-		vec := make([]sim.Val, len(w.c.PIs))
+		vec := make([]sim.Val, len(w.piVals[t]))
 		for i, v := range w.piVals[t] {
 			if v == sim.VX {
 				vec[i] = sim.V0

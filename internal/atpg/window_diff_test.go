@@ -173,12 +173,12 @@ func TestWindowDifferential(t *testing.T) {
 		for fi, flt := range flts {
 			trace := randTrace(rng, k, len(c.PIs), len(c.DFFs), steps)
 			for _, fb := range []int{0, -1, 2} {
-				inc := newWindow(c, order, k, flt)
+				inc := newWindow(soaOf(t, c), k, flt)
 				inc.fallbackEvals = fb
-				obl := newWindow(c, order, k, flt)
+				obl := newWindow(soaOf(t, c), k, flt)
 				obl.fallbackEvals = fb
 				obl.oblivious = true
-				ref := newWindow(c, order, k, flt)
+				ref := newWindow(soaOf(t, c), k, flt)
 
 				// Fresh windows must charge exactly one full sweep.
 				if got := inc.simulate(); got != k*len(order) {
@@ -230,16 +230,12 @@ func TestWindowDifferential(t *testing.T) {
 func TestWindowRetractionSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := randWinCircuit(t, rng, 900)
-	order, err := c.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
 	universe := fault.FullUniverse(c)
 	f := universe[len(universe)/2]
 	k := 3
 
-	w := newWindow(c, order, k, &f)
-	ref := newWindow(c, order, k, &f)
+	w := newWindow(soaOf(t, c), k, &f)
+	ref := newWindow(soaOf(t, c), k, &f)
 	w.simulate()
 	ref.simulate()
 

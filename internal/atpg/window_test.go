@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"fmt"
 	"testing"
 
 	"seqatpg/internal/fault"
@@ -56,10 +57,9 @@ func TestV5Algebra(t *testing.T) {
 
 func TestWindowStemInjectionAndPropagation(t *testing.T) {
 	c := chain(t)
-	order, _ := c.TopoOrder()
 	// Stuck-at-0 on the AND output (gate 3).
 	f := &fault.Fault{Gate: 3, Pin: -1, SA: sim.V0}
-	w := newWindow(c, order, 2, f)
+	w := newWindow(soaOf(t, c), 2, f)
 	// Frame 0: reset=0, in=1 -> AND good value 1, faulty 0 => D at D-line;
 	// frame 1: the DFF carries the D, the NOT makes D-bar at the PO.
 	w.piVals[0][0] = sim.V0 // reset
@@ -73,27 +73,26 @@ func TestWindowStemInjectionAndPropagation(t *testing.T) {
 	if !w.detectedAtPO() {
 		t.Fatal("fault effect should reach the PO in frame 1")
 	}
-	if !w.vals[1][6].isD() { // the Output gate
+	if !w.vals[1][w.s.Pos[6]].isD() { // the Output gate
 		t.Error("PO value should be a fault effect")
 	}
 }
 
 func TestWindowBranchInjection(t *testing.T) {
 	c := chain(t)
-	order, _ := c.TopoOrder()
 	// Branch fault: AND's pin 0 (the in branch) stuck at 0.
 	f := &fault.Fault{Gate: 3, Pin: 0, SA: sim.V0}
-	w := newWindow(c, order, 1, f)
+	w := newWindow(soaOf(t, c), 1, f)
 	w.piVals[0][0] = sim.V0
 	w.piVals[0][1] = sim.V1
 	w.stateVals[0] = sim.V0
 	w.simulate()
 	// The AND output itself becomes D (good 1, faulty 0).
-	if !w.vals[0][3].isD() {
+	if !w.vals[0][w.s.Pos[3]].isD() {
 		t.Error("branch fault must develop at the gate output")
 	}
 	// But the source gate (the input) is unaffected.
-	if w.vals[0][1].isD() {
+	if w.vals[0][w.s.Pos[1]].isD() {
 		t.Error("branch fault must not corrupt the stem")
 	}
 }
@@ -102,7 +101,7 @@ func TestWindowIncrementalCharge(t *testing.T) {
 	c := chain(t)
 	order, _ := c.TopoOrder()
 	f := &fault.Fault{Gate: 3, Pin: -1, SA: sim.V0}
-	w := newWindow(c, order, 4, f)
+	w := newWindow(soaOf(t, c), 4, f)
 	w.fallbackEvals = -1 // pure event-driven, no sweep fallback
 	// A fresh window costs one full sweep: k x gates.
 	if evals := w.simulate(); evals != 4*len(order) {
@@ -135,7 +134,7 @@ func TestWindowInvalidateForcesFullSweep(t *testing.T) {
 	c := chain(t)
 	order, _ := c.TopoOrder()
 	f := &fault.Fault{Gate: 3, Pin: -1, SA: sim.V0}
-	w := newWindow(c, order, 2, f)
+	w := newWindow(soaOf(t, c), 2, f)
 	w.simulate()
 	// Bulk-write inputs behind the event system's back, then invalidate.
 	w.piVals[0][0] = sim.V0
@@ -162,9 +161,8 @@ func TestDFrontierTracksBlockedEffect(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	order, _ := c.TopoOrder()
 	f := &fault.Fault{Gate: b, Pin: -1, SA: sim.V0}
-	w := newWindow(c, order, 1, f)
+	w := newWindow(soaOf(t, c), 1, f)
 	w.setPI(0, 1, sim.V1) // excite: buf good 1, faulty 0
 	w.simulate()
 	if len(w.dFrontier()) != 1 {
@@ -214,16 +212,15 @@ func TestSCOAPBasics(t *testing.T) {
 
 func TestBacktraceReachesInput(t *testing.T) {
 	c := chain(t)
-	order, _ := c.TopoOrder()
 	e, err := New(c, Config{MaxFrames: 2, FaultBudget: 1_000_000, FlushCycles: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newWindow(c, order, 2, nil)
+	w := newWindow(soaOf(t, c), 2, nil)
 	w.simulate()
 	// Justify the NOT's output (gate 5) to 0 in frame 1: the NOT reads
 	// the DFF, crossing into frame 0's AND, whose inputs are PIs.
-	pin, v, ok := e.backtrace(w, objective{frame: 1, gate: 5, val: sim.V0})
+	pin, v, ok := e.backtrace(w, objective{frame: 1, pos: int(w.s.Pos[5]), val: sim.V0})
 	if !ok {
 		t.Fatal("backtrace failed")
 	}
@@ -245,14 +242,56 @@ func TestBacktraceStopsAtConstant(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	order, _ := c.TopoOrder()
 	e, err := New(c, Config{MaxFrames: 1, FaultBudget: 1_000, FlushCycles: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newWindow(c, order, 1, nil)
+	w := newWindow(soaOf(t, c), 1, nil)
 	w.simulate()
-	if _, _, ok := e.backtrace(w, objective{frame: 0, gate: n, val: sim.V0}); ok {
+	if _, _, ok := e.backtrace(w, objective{frame: 0, pos: int(w.s.Pos[n]), val: sim.V0}); ok {
 		t.Error("backtrace through a constant must fail")
 	}
+}
+
+// TestWindowFallbackCharge pins the 3/4 fallback charge: a frame-0 PI
+// toggle on a 12-inverter chain cascades through every gate of the
+// frame, so the event drain stops after 3/4 of the gates and finishes
+// the frame with one sweep. The charge is exactly the evaluations
+// before the cut plus one full frame, and the values equal a fresh
+// full sweep.
+func TestWindowFallbackCharge(t *testing.T) {
+	c := netlist.New("cascade")
+	c.ResetPI = c.AddGate(netlist.Input, "reset")
+	prev := c.AddGate(netlist.Input, "in")
+	for i := 0; i < 12; i++ {
+		prev = c.AddGate(netlist.Not, fmt.Sprintf("n%d", i), prev)
+	}
+	c.AddGate(netlist.Output, "o", prev)
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	order, _ := c.TopoOrder()
+	f := &fault.Fault{Gate: prev, Pin: -1, SA: sim.V0}
+	w := newWindow(soaOf(t, c), 1, f)
+	w.simulate()
+	w.setPI(0, 1, sim.V1)
+	evals := w.simulate()
+	cut := 3 * len(order) / 4
+	if evals != cut+len(order) || evals != 26 {
+		t.Fatalf("cascade charged %d, want %d before the cut + %d for the sweep = 26", evals, cut, len(order))
+	}
+	ref := newWindow(soaOf(t, c), 1, f)
+	ref.setPI(0, 1, sim.V1)
+	ref.simulate()
+	checkWindowsEqual(t, "fallback", w, ref)
+}
+
+// soaOf builds the circuit view windows run on.
+func soaOf(t testing.TB, c *netlist.Circuit) *netlist.SoA {
+	t.Helper()
+	s, err := netlist.NewSoA(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

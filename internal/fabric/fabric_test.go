@@ -93,7 +93,7 @@ func slowFS() ioguard.FS {
 }
 
 // testSpec is the chaos workload: a register-multiplied retimed
-// circuit — the paper's hard case — truncated to a dozen faults. The
+// circuit — the paper's hard case — truncated to two dozen faults. The
 // retiming matters for timing, not just fidelity: each fault attack
 // takes real milliseconds, so the periodic checkpointer (gated on
 // wall-clock gaps) demonstrably fires mid-shard and the coordinator
@@ -120,7 +120,7 @@ func testSpec(t *testing.T) service.Spec {
 	if err := netlist.WriteBench(&b, re.Circuit); err != nil {
 		t.Fatal(err)
 	}
-	return service.Spec{Name: "chaos", Netlist: b.String(), MaxFaults: 12}
+	return service.Spec{Name: "chaos", Netlist: b.String(), MaxFaults: 24}
 }
 
 // reference runs the same campaign single-node via campaign.Execute of

@@ -28,10 +28,17 @@ type SoA struct {
 	Fout     []int32 // combinational fanout positions
 
 	PIPos  []int32 // primary-input order -> position
+	PIAt   []int32 // position -> primary-input index, -1 otherwise
 	POPos  []int32 // primary-output order -> position
 	DFFPos []int32 // DFF index -> position of the DFF gate
 	DFFD   []int32 // DFF index -> position of its D fanin
 	DFFAt  []int32 // position -> DFF index, -1 otherwise
+
+	// DLoad is the inverse of DFFD in CSR form: the DFFs whose D line
+	// position p drives are DLoad[DLoadOff[p]:DLoadOff[p+1]], as DFF
+	// indices in ascending order. These are the loads Fout leaves out.
+	DLoadOff []int32
+	DLoad    []int32
 
 	// EvalGates is how many gates an oblivious levelized sweep
 	// evaluates per frame (everything except Input and DFF loads);
@@ -53,6 +60,7 @@ func NewSoA(c *Circuit) (*SoA, error) {
 		Order:       make([]int32, n),
 		Pos:         make([]int32, n),
 		Kind:        make([]GateType, n),
+		PIAt:        make([]int32, n),
 		DFFAt:       make([]int32, n),
 		EvalsBefore: make([]int32, n+1),
 	}
@@ -92,16 +100,18 @@ func NewSoA(c *Circuit) (*SoA, error) {
 	}
 	s.FaninOff[n] = int32(len(s.Fanin))
 	s.FoutOff[n] = int32(len(s.Fout))
+	for p := range s.PIAt {
+		s.PIAt[p] = -1
+		s.DFFAt[p] = -1
+	}
 	s.PIPos = make([]int32, len(c.PIs))
 	for i, id := range c.PIs {
 		s.PIPos[i] = s.Pos[id]
+		s.PIAt[s.Pos[id]] = int32(i)
 	}
 	s.POPos = make([]int32, len(c.POs))
 	for i, id := range c.POs {
 		s.POPos[i] = s.Pos[id]
-	}
-	for p := range s.DFFAt {
-		s.DFFAt[p] = -1
 	}
 	s.DFFPos = make([]int32, len(c.DFFs))
 	s.DFFD = make([]int32, len(c.DFFs))
@@ -109,6 +119,19 @@ func NewSoA(c *Circuit) (*SoA, error) {
 		s.DFFPos[i] = s.Pos[id]
 		s.DFFD[i] = s.Pos[c.Gates[id].Fanin[0]]
 		s.DFFAt[s.Pos[id]] = int32(i)
+	}
+	s.DLoadOff = make([]int32, n+1)
+	for _, d := range s.DFFD {
+		s.DLoadOff[d+1]++
+	}
+	for p := 0; p < n; p++ {
+		s.DLoadOff[p+1] += s.DLoadOff[p]
+	}
+	s.DLoad = make([]int32, len(s.DFFD))
+	next := append([]int32(nil), s.DLoadOff[:n]...)
+	for i, d := range s.DFFD {
+		s.DLoad[next[d]] = int32(i)
+		next[d]++
 	}
 	return s, nil
 }

@@ -155,6 +155,20 @@ func checkSoA(t *testing.T, c *Circuit) {
 			t.Fatalf("PO %d: pos %d, want %d", i, s.POPos[i], s.Pos[id])
 		}
 	}
+	piAt := map[int32]int32{}
+	for i, id := range c.PIs {
+		piAt[s.Pos[id]] = int32(i)
+	}
+	for p := 0; p < n; p++ {
+		want, ok := piAt[int32(p)]
+		if !ok {
+			want = -1
+		}
+		if s.PIAt[p] != want {
+			t.Fatalf("PIAt[%d] = %d, want %d", p, s.PIAt[p], want)
+		}
+	}
+	loads := map[int32][]int32{}
 	at := map[int32]int32{}
 	for i, id := range c.DFFs {
 		if s.DFFPos[i] != s.Pos[id] {
@@ -164,8 +178,13 @@ func checkSoA(t *testing.T, c *Circuit) {
 			t.Fatalf("DFF %d: D pos %d, want %d", i, s.DFFD[i], s.Pos[c.Gates[id].Fanin[0]])
 		}
 		at[s.Pos[id]] = int32(i)
+		loads[s.DFFD[i]] = append(loads[s.DFFD[i]], int32(i))
 	}
 	for p := 0; p < n; p++ {
+		got := s.DLoad[s.DLoadOff[p]:s.DLoadOff[p+1]]
+		if fmt.Sprint(got) != fmt.Sprint(loads[int32(p)]) && len(got)+len(loads[int32(p)]) > 0 {
+			t.Fatalf("DLoad at pos %d = %v, want %v", p, got, loads[int32(p)])
+		}
 		want, ok := at[int32(p)]
 		if !ok {
 			want = -1

@@ -36,6 +36,9 @@
 # evaluations than shared-cache, detect no fewer faults, and abort no
 # more — learned cubes only cover refuted regions, so any violation is
 # a real regression in the conflict analyzer, not noise.
+#
+# The JSON also records the host: "cpus" (online processors) and
+# "gomaxprocs" (the -N suffix go test put on the benchmark names).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -46,9 +49,11 @@ printf '%s\n' "$out"
 printf '%s\n' "$out" | awk \
 	-v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 	-v gover="$(go env GOVERSION)" \
+	-v cpus="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)" \
 	-v gate="${BENCH_GATE:-0}" '
 /^Benchmark/ {
 	name = $1
+	if (gomaxprocs == "") gomaxprocs = match(name, /-[0-9]+$/) ? substr(name, RSTART + 1) : 1
 	sub(/-[0-9]+$/, "", name)
 	sub(/^Benchmark/, "", name)
 	metrics = ""
@@ -75,6 +80,8 @@ END {
 	print "{" > "BENCH_atpg.json"
 	print "  \"generated\": \"" date "\"," > "BENCH_atpg.json"
 	print "  \"go\": \"" gover "\"," > "BENCH_atpg.json"
+	print "  \"cpus\": " cpus "," > "BENCH_atpg.json"
+	print "  \"gomaxprocs\": " (gomaxprocs == "" ? 0 : gomaxprocs) "," > "BENCH_atpg.json"
 	printf "  \"derived\": {\"incr_vs_obliv\": %.3f, \"shared_vs_incr\": %.3f, \"cdcl_vs_shared\": %.3f, \"cdcl_vs_incr\": %.3f, \"cdcl_evals_ratio\": %.3f, \"aborted_delta\": %.3f},\n", \
 		incr_vs_obliv, shared_vs_incr, cdcl_vs_shared, cdcl_vs_incr, cdcl_evals_ratio, aborted_delta > "BENCH_atpg.json"
 	print "  \"benchmarks\": [" > "BENCH_atpg.json"
