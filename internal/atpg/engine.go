@@ -403,15 +403,6 @@ func (e *Engine) newWin(k int, flt *fault.Fault) *window {
 	return w
 }
 
-func (e *Engine) piIndexOfReset() int {
-	for i, id := range e.c.PIs {
-		if id == e.c.ResetPI {
-			return i
-		}
-	}
-	return -1
-}
-
 // Outcome classifies the result of test generation for one fault.
 type Outcome int
 

@@ -250,7 +250,7 @@ func (e *Engine) ResumeFaults(ctx context.Context, faults []fault.Fault, from *S
 		savedStates := copyStateSet(e.Stats.StatesTraversed)
 
 		rng := rand.New(rand.NewSource(e.cfg.Seed + 17))
-		resetIdx := e.piIndexOfReset()
+		resetIdx := e.c.ResetIndex()
 		for s := 0; s < e.cfg.RandomSequences && !e.checkCancel(); s++ {
 			seq := append([][]sim.Val{}, e.flushPrefix...)
 			for v := 0; v < e.cfg.RandomLength; v++ {

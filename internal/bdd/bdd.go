@@ -1,7 +1,8 @@
 // Package bdd is a from-scratch reduced ordered binary decision diagram
 // (ROBDD) engine: hash-consed nodes, ITE-based Boolean operations,
-// cofactor restriction, existential quantification, and satisfying-
-// assignment counting. It is the substrate under the symbolic
+// cofactor restriction, and satisfying-assignment counting and
+// extraction. Existential quantification lives in reach's image
+// operator, which splits on next-state outputs instead. It is the substrate under the symbolic
 // reachability analysis that computes the paper's "density of encoding"
 // (valid states / total states) for both original and retimed circuits.
 package bdd
@@ -51,7 +52,9 @@ func New(n int) *Manager {
 // NumVars returns the number of variables in the ordering.
 func (m *Manager) NumVars() int { return m.numVars }
 
-// Size returns the number of live nodes (including terminals).
+// Size returns the number of nodes ever allocated (including
+// terminals). Nodes are never reclaimed, so Size only grows: bounds on
+// it limit allocation history, not the live diagram.
 func (m *Manager) Size() int { return len(m.nodes) }
 
 // mk returns the canonical node (level, lo, hi), applying the reduction
@@ -143,9 +146,6 @@ func (m *Manager) Or(f, g Ref) Ref { return m.ITE(f, True, g) }
 // Xor returns f ⊕ g.
 func (m *Manager) Xor(f, g Ref) Ref { return m.ITE(f, m.Not(g), g) }
 
-// Xnor returns ¬(f ⊕ g).
-func (m *Manager) Xnor(f, g Ref) Ref { return m.ITE(f, g, m.Not(g)) }
-
 // Restrict substitutes a constant for variable v in f.
 func (m *Manager) Restrict(f Ref, v int, value bool) Ref {
 	memo := map[Ref]Ref{}
@@ -168,38 +168,6 @@ func (m *Manager) Restrict(f Ref, v int, value bool) Ref {
 			}
 		} else {
 			out = m.mk(n.level, rec(n.lo), rec(n.hi))
-		}
-		memo[r] = out
-		return out
-	}
-	return rec(f)
-}
-
-// Exists existentially quantifies the given variables out of f.
-func (m *Manager) Exists(f Ref, vars []int) Ref {
-	if len(vars) == 0 {
-		return f
-	}
-	quant := make(map[int32]bool, len(vars))
-	for _, v := range vars {
-		quant[int32(v)] = true
-	}
-	memo := map[Ref]Ref{}
-	var rec func(Ref) Ref
-	rec = func(r Ref) Ref {
-		n := m.nodes[r]
-		if n.level == terminalLevel {
-			return r
-		}
-		if got, ok := memo[r]; ok {
-			return got
-		}
-		lo, hi := rec(n.lo), rec(n.hi)
-		var out Ref
-		if quant[n.level] {
-			out = m.Or(lo, hi)
-		} else {
-			out = m.mk(n.level, lo, hi)
 		}
 		memo[r] = out
 		return out
@@ -260,37 +228,6 @@ func (m *Manager) Eval(f Ref, assign []bool) bool {
 		}
 	}
 	return r == True
-}
-
-// Support returns the sorted variable indices f depends on.
-func (m *Manager) Support(f Ref) []int {
-	seen := map[Ref]bool{}
-	vars := map[int32]bool{}
-	var rec func(Ref)
-	rec = func(r Ref) {
-		if seen[r] || m.nodes[r].level == terminalLevel {
-			return
-		}
-		seen[r] = true
-		vars[m.nodes[r].level] = true
-		rec(m.nodes[r].lo)
-		rec(m.nodes[r].hi)
-	}
-	rec(f)
-	out := make([]int, 0, len(vars))
-	for v := range vars {
-		out = append(out, int(v))
-	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // AnySat returns one satisfying assignment of f over the first nVars

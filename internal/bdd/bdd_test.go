@@ -3,7 +3,6 @@ package bdd
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestTerminalsAndVars(t *testing.T) {
@@ -117,46 +116,6 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
-func TestExists(t *testing.T) {
-	m := New(3)
-	f := m.And(m.Var(0), m.Var(1))
-	ex := m.Exists(f, []int{0})
-	if ex != m.Var(1) {
-		t.Error("∃x0. x0∧x1 must be x1")
-	}
-	ex2 := m.Exists(f, []int{0, 1})
-	if ex2 != True {
-		t.Error("∃x0,x1. x0∧x1 must be True")
-	}
-	if m.Exists(False, []int{0}) != False {
-		t.Error("∃ of False must be False")
-	}
-}
-
-func TestExistsMatchesBrute(t *testing.T) {
-	const n = 5
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := New(n)
-		g := randomRef(m, rng, 8)
-		v := rng.Intn(n)
-		ex := m.Exists(g, []int{v})
-		for _, a := range assigns(n) {
-			a0 := append([]bool(nil), a...)
-			a1 := append([]bool(nil), a...)
-			a0[v], a1[v] = false, true
-			want := m.Eval(g, a0) || m.Eval(g, a1)
-			if m.Eval(ex, a) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSatCount(t *testing.T) {
 	m := New(4)
 	if got := m.SatCount(True, 4); got != 16 {
@@ -186,18 +145,6 @@ func TestSatCountMatchesBrute(t *testing.T) {
 		if got := m.SatCount(f, n); got != brute {
 			t.Fatalf("SatCount = %v, brute = %v", got, brute)
 		}
-	}
-}
-
-func TestSupport(t *testing.T) {
-	m := New(5)
-	f := m.And(m.Var(1), m.Xor(m.Var(3), m.Var(4)))
-	sup := m.Support(f)
-	if len(sup) != 3 || sup[0] != 1 || sup[1] != 3 || sup[2] != 4 {
-		t.Errorf("Support = %v, want [1 3 4]", sup)
-	}
-	if len(m.Support(True)) != 0 {
-		t.Error("terminals have empty support")
 	}
 }
 

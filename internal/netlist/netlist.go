@@ -120,6 +120,17 @@ func (c *Circuit) NumGates() int { return len(c.Gates) }
 // NumDFFs returns the flip-flop count (the paper's #DFF columns).
 func (c *Circuit) NumDFFs() int { return len(c.DFFs) }
 
+// ResetIndex returns the position of the reset line in PIs, or -1 when
+// the circuit has none.
+func (c *Circuit) ResetIndex() int {
+	for i, id := range c.PIs {
+		if id == c.ResetPI {
+			return i
+		}
+	}
+	return -1
+}
+
 // Clone deep-copies the circuit.
 func (c *Circuit) Clone() *Circuit {
 	out := &Circuit{

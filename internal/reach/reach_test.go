@@ -1,12 +1,15 @@
 package reach
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"seqatpg/internal/encode"
 	"seqatpg/internal/fsm"
 	"seqatpg/internal/netlist"
 	"seqatpg/internal/retime"
+	"seqatpg/internal/sim"
 	"seqatpg/internal/synth"
 )
 
@@ -168,4 +171,76 @@ func TestStateGraphCap(t *testing.T) {
 	if _, _, err := a.StateGraph(3); err == nil {
 		t.Error("cap below the valid-state count must error")
 	}
+}
+
+// TestStateGraphHonoursNodeBound: StateGraph runs under the node bound
+// the analysis ran under. An analysis bounded at exactly the nodes it
+// needed has no room left, so enumerating successors must fail with the
+// bound's error instead of growing toward the default bound.
+func TestStateGraphHonoursNodeBound(t *testing.T) {
+	_, r := synthM(t, 9, 13)
+	free, err := Analyze(r.Circuit, Options{FlushCycles: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := free.mgr.Size()
+	a, err := Analyze(r.Circuit, Options{FlushCycles: 1, MaxNodes: bound})
+	if err != nil {
+		t.Fatalf("analysis at its own node count must succeed: %v", err)
+	}
+	if _, _, err := a.StateGraph(64); err == nil || !strings.Contains(err.Error(), "exceeded") {
+		t.Fatalf("StateGraph at a spent node bound: err = %v, want the node-bound error", err)
+	}
+	if a.mgr.Size() > 2*bound {
+		t.Errorf("StateGraph grew the manager to %d nodes under a bound of %d", a.mgr.Size(), bound)
+	}
+}
+
+// ringShifter builds an n-DFF circular shift register whose reset line
+// loads a single token into stage 0: its valid states are the n one-hot
+// codes.
+func ringShifter(n int) *netlist.Circuit {
+	c := netlist.New("ring")
+	rst := c.AddGate(netlist.Input, "rst")
+	c.ResetPI = rst
+	nrst := c.AddGate(netlist.Not, "nrst", rst)
+	ffs := make([]int, n)
+	for i := range ffs {
+		ffs[i] = c.AddGate(netlist.DFF, fmt.Sprintf("q%d", i), nrst) // D rewired below
+	}
+	for i, ff := range ffs {
+		d := c.AddGate(netlist.And, fmt.Sprintf("d%d", i), ffs[(i+n-1)%n], nrst)
+		if i == 0 {
+			d = c.AddGate(netlist.Or, "load", d, rst)
+		}
+		c.Gates[ff].Fanin[0] = d
+	}
+	c.AddGate(netlist.Output, "out", ffs[n-1])
+	return c
+}
+
+// TestStateGraphAndContainsRejectWideCircuits: past sim.MaxStateBits
+// DFFs a packed uint64 state would alias distinct states, so StateGraph
+// errors and Contains panics rather than answer for the wrong state.
+func TestStateGraphAndContainsRejectWideCircuits(t *testing.T) {
+	c := ringShifter(sim.MaxStateBits + 1)
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := Analyze(c, Options{FlushCycles: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ValidStates != float64(a.NumDFFs) {
+		t.Errorf("valid states = %v, want the %d one-hot codes", a.ValidStates, a.NumDFFs)
+	}
+	if _, _, err := a.StateGraph(1 << 20); err == nil || !strings.Contains(err.Error(), "DFFs") {
+		t.Errorf("StateGraph on %d DFFs: err = %v, want the width error", a.NumDFFs, err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Contains on %d DFFs must panic", a.NumDFFs)
+		}
+	}()
+	a.Contains(0)
 }

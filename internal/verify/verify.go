@@ -4,7 +4,9 @@
 // the retiming behaviour-preservation property (the paper's Theorem 1
 // context): after both machines are flushed by holding the explicit
 // reset line, every reachable product state must produce identical
-// primary outputs under every input.
+// primary outputs under every input. The gate→BDD builder and the
+// flush → fixpoint traversal are reach's; this package lays out the
+// product variables and checks the output miter on each frontier.
 package verify
 
 import (
@@ -12,6 +14,7 @@ import (
 
 	"seqatpg/internal/bdd"
 	"seqatpg/internal/netlist"
+	"seqatpg/internal/reach"
 )
 
 // Counterexample describes an equivalence violation.
@@ -37,11 +40,11 @@ type Options struct {
 	// machines before the outputs are compared (use the retimed
 	// circuit's flush length). Values < 1 are treated as 1.
 	FlushCycles int
-	// MaxNodes bounds the BDD (0 = default).
+	// MaxNodes bounds the number of BDD nodes allocated (0 = default).
+	// Nodes are never reclaimed, so the bound limits allocation
+	// history, not live size.
 	MaxNodes int
 }
-
-const defaultMaxNodes = 4_000_000
 
 // Equivalent checks I/O equivalence of a and b after the flush prefix.
 // Both circuits must have the same number of primary inputs and outputs
@@ -51,219 +54,42 @@ func Equivalent(a, b *netlist.Circuit, opt Options) (bool, *Counterexample, erro
 		return false, nil, fmt.Errorf("verify: interface mismatch: %d/%d PIs, %d/%d POs",
 			len(a.PIs), len(b.PIs), len(a.POs), len(b.POs))
 	}
-	ra, rb := piIndex(a, a.ResetPI), piIndex(b, b.ResetPI)
+	ra, rb := a.ResetIndex(), b.ResetIndex()
 	if ra < 0 || rb < 0 || ra != rb {
 		return false, nil, fmt.Errorf("verify: both circuits need the reset line at the same input position")
 	}
-	if opt.FlushCycles < 1 {
-		opt.FlushCycles = 1
-	}
-	if opt.MaxNodes == 0 {
-		opt.MaxNodes = defaultMaxNodes
-	}
 
 	na, nb := len(a.DFFs), len(b.DFFs)
-	ni := len(a.PIs)
 	// Variable order: A state bits, B state bits, shared inputs.
-	m := bdd.New(na + nb + ni)
-
-	fa, ga, err := buildFunctions(m, a, 0, na+nb)
+	m := bdd.New(na + nb + len(a.PIs))
+	fa, ga, err := reach.Build(m, a, 0, na+nb, opt.MaxNodes)
 	if err != nil {
 		return false, nil, err
 	}
-	fb, gb, err := buildFunctions(m, b, na, na+nb)
+	fb, gb, err := reach.Build(m, b, na, na+nb, opt.MaxNodes)
 	if err != nil {
 		return false, nil, err
-	}
-	if m.Size() > opt.MaxNodes {
-		return false, nil, fmt.Errorf("verify: BDD blew up building the product logic")
-	}
-
-	next := append(append([]bdd.Ref{}, fa...), fb...)
-	resetVar := na + nb + ra
-
-	// Flush: both machines under reset=1, all other inputs free, from
-	// the full product universe.
-	flushNext := make([]bdd.Ref, len(next))
-	for i, f := range next {
-		flushNext[i] = m.Restrict(f, resetVar, true)
-	}
-	img := newImager(m, next, na+nb, opt.MaxNodes)
-	flushImg := newImager(m, flushNext, na+nb, opt.MaxNodes)
-	set := bdd.True
-	for k := 0; k < opt.FlushCycles; k++ {
-		if set, err = flushImg.image(set); err != nil {
-			return false, nil, err
-		}
 	}
 
 	// Miter: any reached product state with differing outputs under any
-	// input is a violation. Check while traversing to the fixpoint.
-	checkSet := func(states bdd.Ref) (*Counterexample, error) {
+	// input is a violation, checked on each frontier of the traversal.
+	var ce *Counterexample
+	miter := func(frontier bdd.Ref) bool {
 		for k := range ga {
-			bad := m.And(states, m.Xor(ga[k], gb[k]))
+			bad := m.And(frontier, m.Xor(ga[k], gb[k]))
 			if bad == bdd.False {
 				continue
 			}
 			assign, _ := m.AnySat(bad, m.NumVars())
-			ce := &Counterexample{Output: k, Inputs: assign[na+nb:]}
-			ce.StateA = assign[:na]
-			ce.StateB = assign[na : na+nb]
-			return ce, nil
+			ce = &Counterexample{StateA: assign[:na], StateB: assign[na : na+nb], Inputs: assign[na+nb:], Output: k}
+			return true
 		}
-		return nil, nil
+		return false
 	}
-
-	reached := set
-	frontier := set
-	for frontier != bdd.False {
-		if ce, err := checkSet(frontier); err != nil || ce != nil {
-			return false, ce, err
-		}
-		nxt, err := img.image(frontier)
-		if err != nil {
-			return false, nil, err
-		}
-		frontier = m.And(nxt, m.Not(reached))
-		reached = m.Or(reached, nxt)
-		if m.Size() > opt.MaxNodes {
-			return false, nil, fmt.Errorf("verify: BDD blew up during product traversal")
-		}
+	next := append(fa, fb...)
+	ropt := reach.Options{FlushCycles: opt.FlushCycles, MaxNodes: opt.MaxNodes}
+	if _, err := reach.Traverse(m, next, na+nb+ra, ropt, miter); err != nil {
+		return false, nil, err
 	}
-	return true, nil, nil
-}
-
-func piIndex(c *netlist.Circuit, gate int) int {
-	for i, id := range c.PIs {
-		if id == gate {
-			return i
-		}
-	}
-	return -1
-}
-
-// buildFunctions evaluates the circuit's gates as BDDs: state bits use
-// variables stateBase..stateBase+#DFF-1, inputs use inputBase+i.
-// Returns the next-state and output function vectors.
-func buildFunctions(m *bdd.Manager, c *netlist.Circuit, stateBase, inputBase int) (next, outs []bdd.Ref, err error) {
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, nil, err
-	}
-	piIdx := map[int]int{}
-	for i, id := range c.PIs {
-		piIdx[id] = i
-	}
-	dffIdx := map[int]int{}
-	for i, id := range c.DFFs {
-		dffIdx[id] = i
-	}
-	val := make([]bdd.Ref, len(c.Gates))
-	for _, id := range order {
-		g := c.Gates[id]
-		switch g.Type {
-		case netlist.Input:
-			val[id] = m.Var(inputBase + piIdx[id])
-		case netlist.DFF:
-			val[id] = m.Var(stateBase + dffIdx[id])
-		case netlist.Const0:
-			val[id] = bdd.False
-		case netlist.Const1:
-			val[id] = bdd.True
-		case netlist.Buf, netlist.Output:
-			val[id] = val[g.Fanin[0]]
-		case netlist.Not:
-			val[id] = m.Not(val[g.Fanin[0]])
-		case netlist.And, netlist.Nand:
-			acc := bdd.True
-			for _, f := range g.Fanin {
-				acc = m.And(acc, val[f])
-			}
-			if g.Type == netlist.Nand {
-				acc = m.Not(acc)
-			}
-			val[id] = acc
-		case netlist.Or, netlist.Nor:
-			acc := bdd.False
-			for _, f := range g.Fanin {
-				acc = m.Or(acc, val[f])
-			}
-			if g.Type == netlist.Nor {
-				acc = m.Not(acc)
-			}
-			val[id] = acc
-		case netlist.Xor, netlist.Xnor:
-			acc := bdd.False
-			for _, f := range g.Fanin {
-				acc = m.Xor(acc, val[f])
-			}
-			if g.Type == netlist.Xnor {
-				acc = m.Not(acc)
-			}
-			val[id] = acc
-		default:
-			return nil, nil, fmt.Errorf("verify: unsupported gate type %v", g.Type)
-		}
-	}
-	next = make([]bdd.Ref, len(c.DFFs))
-	for i, id := range c.DFFs {
-		next[i] = val[c.Gates[id].Fanin[0]]
-	}
-	outs = make([]bdd.Ref, len(c.POs))
-	for i, id := range c.POs {
-		outs[i] = val[id]
-	}
-	return next, outs, nil
-}
-
-// imager computes one-step images of product-state sets (existentially
-// quantifying current state and inputs) by recursive output splitting.
-type imager struct {
-	m        *bdd.Manager
-	next     []bdd.Ref
-	nb       int
-	maxNodes int
-	memo     map[memoKey]bdd.Ref
-}
-
-type memoKey struct {
-	depth int
-	set   bdd.Ref
-}
-
-func newImager(m *bdd.Manager, next []bdd.Ref, nb, maxNodes int) *imager {
-	return &imager{m: m, next: next, nb: nb, maxNodes: maxNodes, memo: map[memoKey]bdd.Ref{}}
-}
-
-func (im *imager) image(set bdd.Ref) (bdd.Ref, error) {
-	return im.rec(set, 0)
-}
-
-func (im *imager) rec(constraint bdd.Ref, depth int) (bdd.Ref, error) {
-	if constraint == bdd.False {
-		return bdd.False, nil
-	}
-	if depth == im.nb {
-		return bdd.True, nil
-	}
-	if im.m.Size() > im.maxNodes {
-		return bdd.False, fmt.Errorf("verify: image computation exceeded %d nodes", im.maxNodes)
-	}
-	key := memoKey{depth, constraint}
-	if r, ok := im.memo[key]; ok {
-		return r, nil
-	}
-	f := im.next[depth]
-	hi, err := im.rec(im.m.And(constraint, f), depth+1)
-	if err != nil {
-		return bdd.False, err
-	}
-	lo, err := im.rec(im.m.And(constraint, im.m.Not(f)), depth+1)
-	if err != nil {
-		return bdd.False, err
-	}
-	v := im.m.Var(depth)
-	out := im.m.Or(im.m.And(v, hi), im.m.And(im.m.Not(v), lo))
-	im.memo[key] = out
-	return out, nil
+	return ce == nil, ce, nil
 }

@@ -7,6 +7,7 @@ import (
 	"seqatpg/internal/fsm"
 	"seqatpg/internal/netlist"
 	"seqatpg/internal/retime"
+	"seqatpg/internal/sim"
 	"seqatpg/internal/synth"
 )
 
@@ -103,6 +104,47 @@ func TestDetectsInjectedBug(t *testing.T) {
 	if ce == nil || ce.Output != 0 {
 		t.Fatalf("counterexample should blame output 0: %v", ce)
 	}
+	replayCounterexample(t, a, b, ce)
+}
+
+// replayCounterexample loads the counterexample's product state into
+// scalar simulators of a and b and applies its inputs: the blamed
+// output must differ. A wrong state or input variable mapping in the
+// symbolic builder shows up here even when the verdict is right.
+func replayCounterexample(t *testing.T, a, b *netlist.Circuit, ce *Counterexample) {
+	t.Helper()
+	if ce == nil {
+		t.Fatal("no counterexample")
+	}
+	vals := func(bits []bool) []sim.Val {
+		out := make([]sim.Val, len(bits))
+		for i, v := range bits {
+			if v {
+				out[i] = sim.V1
+			}
+		}
+		return out
+	}
+	outs := make([][]sim.Val, 2)
+	for k, cc := range []struct {
+		c     *netlist.Circuit
+		state []bool
+	}{{a, ce.StateA}, {b, ce.StateB}} {
+		s, err := sim.NewSimulator(cc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetState(vals(cc.state)); err != nil {
+			t.Fatal(err)
+		}
+		if outs[k], err = s.Eval(vals(ce.Inputs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if outs[0][ce.Output] == outs[1][ce.Output] {
+		t.Fatalf("counterexample does not replay: output %d is %v on both machines (%v)",
+			ce.Output, outs[0][ce.Output], ce)
+	}
 }
 
 // TestDetectsSubtleStateBug: corrupting next-state logic (not outputs
@@ -117,12 +159,41 @@ func TestDetectsSubtleStateBug(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ok, _, err := Equivalent(a, b, Options{FlushCycles: 1})
+	ok, ce, err := Equivalent(a, b, Options{FlushCycles: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Fatal("state-logic bug not detected")
+	}
+	replayCounterexample(t, a, b, ce)
+}
+
+// TestCounterexampleReplaysOnRetimedPair: a bug in a retimed copy,
+// which has more DFFs than the original, yields counterexamples whose
+// A and B state slices have different widths; each must replay on the
+// simulator.
+func TestCounterexampleReplaysOnRetimedPair(t *testing.T) {
+	a := synthC(t, 9, 21, encode.Combined, synth.Rugged)
+	re, err := retime.Backward(a, netlist.DefaultLibrary(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(re.Circuit.DFFs) <= len(a.DFFs) {
+		t.Fatalf("retiming kept %d DFFs, want more than %d", len(re.Circuit.DFFs), len(a.DFFs))
+	}
+	for k := 0; k < len(re.Circuit.DFFs); k += 3 {
+		b := re.Circuit.Clone()
+		ff := b.DFFs[k]
+		b.Gates[ff].Fanin[0] = b.AddGate(netlist.Not, "bug", b.Gates[ff].Fanin[0])
+		ok, ce, err := Equivalent(a, b, Options{FlushCycles: re.FlushCycles})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			t.Fatalf("bug at DFF %d of the retimed copy not detected", k)
+		}
+		replayCounterexample(t, a, b, ce)
 	}
 }
 
