@@ -208,7 +208,10 @@ type Engine struct {
 	// obsDist approximates per-gate distance to a primary output.
 	obsDist []int
 
-	fsim        *fault.Simulator
+	fsim *fault.Simulator
+	// gsim is a good-machine simulator over soa, for the reset flush and
+	// the states-traversed trace of accepted tests.
+	gsim        *sim.Simulator
 	flushPrefix [][]sim.Val
 	resetState  []sim.Val
 
@@ -289,6 +292,7 @@ func New(c *netlist.Circuit, cfg Config) (*Engine, error) {
 		sharedFailed: map[string]bool{},
 		lemmas:       map[string]bool{},
 		fsim:         fsim,
+		gsim:         sim.NewSimulatorSoA(fsim.SoA()),
 	}
 	e.Stats.StatesTraversed = map[uint64]bool{}
 	if err := e.computeFlush(); err != nil {
@@ -333,10 +337,7 @@ func computeObsDist(c *netlist.Circuit) []int {
 
 // computeFlush derives the reset-hold prefix and the post-flush state.
 func (e *Engine) computeFlush() error {
-	s, err := sim.NewSimulator(e.c)
-	if err != nil {
-		return err
-	}
+	s := e.gsim
 	s.PowerUp()
 	vec := make([]sim.Val, len(e.c.PIs))
 	for i, id := range e.c.PIs {

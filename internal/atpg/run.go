@@ -230,13 +230,9 @@ func (e *Engine) ResumeFaults(ctx context.Context, faults []fault.Fault, from *S
 	}
 
 	recordStates := func(seq [][]sim.Val) {
-		states, err := fault.StateTrace(e.c, seq)
-		if err != nil {
-			return
-		}
-		for st := range states {
-			e.Stats.StatesTraversed[st] = true
-		}
+		// A circuit too wide to pack its states (fault.ErrStateTooWide)
+		// records none.
+		_ = fault.TraceStates(e.gsim, seq, e.Stats.StatesTraversed)
 	}
 
 	// Random preprocessing phase (Attest-style). The phase is atomic

@@ -30,11 +30,15 @@ import (
 // as the fault kernel drains its own). Same-frame fanouts always sit
 // at higher positions, so the ascending scan evaluates every gate after
 // its changed fanins, in exactly topological order; a change on a D
-// line marks the DFF in the next frame. The post-simulation snapshot
-// (D-frontier, PO detection, last-frame D lines) is maintained
-// incrementally by the same pass. Once a frame's cascade reaches 3/4
-// of the gate count the rest of the frame is finished with one
-// oblivious sweep (mirroring the fault kernel's fallback); a full
+// line marks the DFF in the next frame. One evaluator serves the drain,
+// the per-frame fallback and the full sweep: a single walk over a
+// gate's fanins folds both rails, notes which pins carry a fault
+// effect, stores the value and updates the post-simulation snapshot
+// (PO detection, D-frontier membership). Whether an effect escapes
+// through a last-frame D line is not tracked per evaluation; it is
+// checked on query by scanning those D lines. Once a frame's cascade
+// reaches 3/4 of the gate count the rest of the frame is finished with
+// one oblivious sweep (mirroring the fault kernel's fallback); a full
 // sweep is also the uncharged reference pass of oblivious verification
 // mode.
 type window struct {
@@ -78,7 +82,7 @@ type window struct {
 	// reference mode the differential tests pin the engine against.
 	oblivious bool
 
-	// Post-simulation snapshot, maintained incrementally: the problem
+	// Post-simulation snapshot, maintained by the evaluator: the problem
 	// callbacks read these instead of rescanning the window. frontier
 	// is kept sorted by (frame, topological position) — the order the
 	// full rescan produces — because objective selection tie-breaks on
@@ -87,8 +91,6 @@ type window struct {
 	poDCount   int
 	frontier   []frontierEntry
 	inFrontier []bool // [t*n+p]
-	dLastD     []bool // per state bit: last-frame D line carries an effect
-	dLastCount int
 	lineGood   sim.Val
 }
 
@@ -130,10 +132,9 @@ func newWindow(s *netlist.SoA, k int, flt *fault.Fault) *window {
 	for t := range w.lo {
 		w.lo[t] = w.words
 	}
-	flags := make([]bool, 2*k*n+s.NumDFFs())
+	flags := make([]bool, 2*k*n)
 	w.poD = flags[: k*n : k*n]
-	w.inFrontier = flags[k*n : 2*k*n : 2*k*n]
-	w.dLastD = flags[2*k*n:]
+	w.inFrontier = flags[k*n:]
 	return w
 }
 
@@ -191,17 +192,18 @@ func (w *window) invalidate() {
 // re-evaluated. In oblivious mode an additional uncharged reference
 // sweep re-derives everything from scratch.
 func (w *window) simulate() int {
+	evals := w.k * w.n
 	if w.full {
 		w.full = false
 		w.sweepAll()
-		return w.k * w.n
+	} else {
+		evals = w.propagate()
+		if w.oblivious {
+			w.sweepAll()
+		}
 	}
-	evals := w.propagate()
 	if w.flt != nil {
 		w.lineGood = w.faultLineGoodRaw()
-	}
-	if w.oblivious {
-		w.sweepAll()
 	}
 	return evals
 }
@@ -240,7 +242,7 @@ func (w *window) propagate() int {
 				}
 				p := wi<<6 | b
 				frameEvals++
-				if !w.evalGateAt(t, p) {
+				if !w.evalComposite(t, p) {
 					continue
 				}
 				for _, o := range fout[foutOff[p]:foutOff[p+1]] {
@@ -269,96 +271,40 @@ func (w *window) markLoads(t, p int) {
 // marking the next frame's DFF for every changed D line.
 func (w *window) sweepFrame(t int) int {
 	for p := 0; p < w.n; p++ {
-		if w.evalGateAt(t, p) {
+		if w.evalComposite(t, p) {
 			w.markLoads(t, p)
 		}
 	}
 	return w.n
 }
 
-// sweepAll recomputes every frame from scratch and rebuilds the
-// snapshot; any queued events are covered by the sweep and dropped.
+// sweepAll clears the snapshot and recomputes every frame from scratch
+// through the same evaluator, which rebuilds the snapshot as it goes;
+// any queued events are covered by the sweep and dropped.
 func (w *window) sweepAll() {
+	clear(w.poD)
+	clear(w.inFrontier)
+	w.frontier = w.frontier[:0]
+	w.poDCount = 0
 	for t := 0; t < w.k; t++ {
-		vals := w.vals[t]
-		for p := range vals {
-			if w.flt == nil {
-				vals[p] = w.computeGood(t, p)
-			} else {
-				vals[p] = w.computeComposite(t, p)
-			}
+		for p := 0; p < w.n; p++ {
+			w.evalComposite(t, p)
 		}
 	}
 	w.clearPending()
-	w.refresh()
 }
 
-// evalGateAt recomputes one gate of one frame, updates the snapshot for
-// it, and reports whether its value changed.
-func (w *window) evalGateAt(t, p int) bool {
-	var v V5
-	if w.flt == nil {
-		v = w.computeGood(t, p)
-	} else {
-		v = w.computeComposite(t, p)
-	}
-	changed := v != w.vals[t][p]
-	w.vals[t][p] = v
-	if w.flt != nil {
-		w.updateSnapshotAt(t, p)
-	}
-	return changed
-}
-
-// computeGood evaluates one gate on the good rail only — the fast path
-// for fault-free (justification-mode) windows, where the faulty rail
-// always mirrors the good one and no injection checks are needed.
-func (w *window) computeGood(t, p int) V5 {
-	s := w.s
-	vals := w.vals[t]
-	fan := s.Fanin[s.FaninOff[p]:s.FaninOff[p+1]]
-	var gv sim.Val
-	switch kind := s.Kind[p]; kind {
-	case netlist.Input:
-		gv = w.piVals[t][s.PIAt[p]]
-	case netlist.DFF:
-		if t == 0 {
-			gv = w.stateVals[s.DFFAt[p]]
-		} else {
-			gv = w.vals[t-1][fan[0]].G
-		}
-	case netlist.Const0:
-		gv = sim.V0
-	case netlist.Const1:
-		gv = sim.V1
-	case netlist.Buf, netlist.Output:
-		gv = vals[fan[0]].G
-	case netlist.Not:
-		gv = notV[vals[fan[0]].G]
-	case netlist.And, netlist.Or, netlist.Nand, netlist.Nor:
-		var m uint8
-		for _, f := range fan {
-			m |= 1 << vals[f].G
-		}
-		gv = foldTab[kind-netlist.And][m].G
-	case netlist.Xor, netlist.Xnor:
-		acc := sim.V0
-		for _, f := range fan {
-			acc = sim.XorV(acc, vals[f].G)
-		}
-		if kind == netlist.Xnor {
-			acc = sim.NotV(acc)
-		}
-		gv = acc
-	}
-	return vBoth(gv)
-}
-
-// computeComposite evaluates one gate on both rails with the target
-// fault injected; the inner loop is allocation-free — both rails are
-// folded directly over the fanins. Only the faulted position checks
-// for injection.
-func (w *window) computeComposite(t, p int) V5 {
+// evalComposite evaluates position p of frame t on both rails with the
+// target fault injected, stores the value, and reports whether it
+// changed. The one walk over the fanins also collects which fanin pins
+// carry a fault effect, so the same call updates the snapshot: PO
+// detection, and D-frontier membership (an unknown output seeing a
+// developed effect on some pin). Membership is refreshed whether or not
+// the value changed, because it also depends on the fanin values that
+// triggered the evaluation. Only the faulted position checks for
+// injection; a fault-free window never matches it, so its rails stay
+// equal and its snapshot stays empty.
+func (w *window) evalComposite(t, p int) bool {
 	s := w.s
 	vals := w.vals[t]
 	fan := s.Fanin[s.FaninOff[p]:s.FaninOff[p+1]]
@@ -366,8 +312,12 @@ func (w *window) computeComposite(t, p int) V5 {
 	if p == w.fPos {
 		injPin = w.fPin
 	}
+	// Bit G^F of dm is set for each fanin seen: on the 0/1/X encoding
+	// G^F == 1 exactly when the pin carries D or D-bar.
 	var v V5
-	switch kind := s.Kind[p]; kind {
+	var dm uint8
+	kind := s.Kind[p]
+	switch kind {
 	case netlist.Input:
 		v = vBoth(w.piVals[t][s.PIAt[p]])
 	case netlist.DFF:
@@ -383,17 +333,15 @@ func (w *window) computeComposite(t, p int) V5 {
 		v = vBoth(sim.V0)
 	case netlist.Const1:
 		v = vBoth(sim.V1)
-	case netlist.Buf, netlist.Output:
+	case netlist.Buf, netlist.Output, netlist.Not:
 		v = vals[fan[0]]
 		if injPin == 0 {
 			v.F = w.fSA
 		}
-	case netlist.Not:
-		v = vals[fan[0]]
-		if injPin == 0 {
-			v.F = w.fSA
+		dm = 1 << (v.G ^ v.F)
+		if kind == netlist.Not {
+			v = V5{notV[v.G], notV[v.F]}
 		}
-		v = V5{notV[v.G], notV[v.F]}
 	case netlist.And, netlist.Or, netlist.Nand, netlist.Nor:
 		var m uint8
 		for pin, f := range fan {
@@ -402,6 +350,7 @@ func (w *window) computeComposite(t, p int) V5 {
 				in.F = w.fSA
 			}
 			m |= 1<<in.G | 8<<in.F
+			dm |= 1 << (in.G ^ in.F)
 		}
 		v = foldTab[kind-netlist.And][m]
 	case netlist.Xor, netlist.Xnor:
@@ -413,6 +362,7 @@ func (w *window) computeComposite(t, p int) V5 {
 			}
 			gAcc = sim.XorV(gAcc, in.G)
 			fAcc = sim.XorV(fAcc, in.F)
+			dm |= 1 << (in.G ^ in.F)
 		}
 		if kind == netlist.Xnor {
 			gAcc, fAcc = sim.NotV(gAcc), sim.NotV(fAcc)
@@ -423,7 +373,25 @@ func (w *window) computeComposite(t, p int) V5 {
 	if injPin == -1 {
 		v.F = w.fSA
 	}
-	return v
+	changed := v != vals[p]
+	vals[p] = v
+
+	// Sources walk no fanin (dm == 0), so they never join the frontier.
+	key := t*w.n + p
+	if kind == netlist.Output {
+		if d := v.isD(); d != w.poD[key] {
+			w.poD[key] = d
+			if d {
+				w.poDCount++
+			} else {
+				w.poDCount--
+			}
+		}
+	}
+	if member := dm&2 != 0 && !v.known(); member != w.inFrontier[key] {
+		w.setFrontier(t, p, member)
+	}
+	return changed
 }
 
 // notV is sim.NotV as a table.
@@ -453,66 +421,12 @@ var foldTab = func() (tab [4][64]V5) {
 	return tab
 }()
 
-// updateSnapshotAt refreshes the snapshot contributions of position p
-// at frame t: PO detection, D-frontier membership, and — when p drives
-// a last-frame DFF D line — the escaping-effect flags. It is called for
-// every evaluated gate of a faulted window whether or not its own value
-// changed, because frontier membership also depends on the fanin values
-// that triggered the evaluation.
-func (w *window) updateSnapshotAt(t, p int) {
-	key := t*w.n + p
-	switch kind := w.s.Kind[p]; kind {
-	case netlist.Input, netlist.DFF, netlist.Const0, netlist.Const1:
-		// Sources carry no frontier or PO state of their own.
-	default:
-		if kind == netlist.Output {
-			d := w.vals[t][p].isD()
-			if d != w.poD[key] {
-				w.poD[key] = d
-				if d {
-					w.poDCount++
-				} else {
-					w.poDCount--
-				}
-			}
-		}
-		w.setFrontier(t, p, !w.vals[t][p].known() && w.seesD(t, p))
-	}
-	if t == w.k-1 {
-		for _, bit := range w.s.DLoad[w.s.DLoadOff[p]:w.s.DLoadOff[p+1]] {
-			d := w.dLine(t, int(bit)).isD()
-			if d != w.dLastD[bit] {
-				w.dLastD[bit] = d
-				if d {
-					w.dLastCount++
-				} else {
-					w.dLastCount--
-				}
-			}
-		}
-	}
-}
-
-// seesD reports whether position p sees a developed fault effect on at
-// least one fanin pin in frame t.
-func (w *window) seesD(t, p int) bool {
-	for pin := 0; pin < int(w.s.FaninOff[p+1]-w.s.FaninOff[p]); pin++ {
-		if w.faninVal(t, p, pin).isD() {
-			return true
-		}
-	}
-	return false
-}
-
 // setFrontier flips position p's frame-t frontier membership, keeping
 // the frontier slice sorted by (frame, topological position) — exactly
 // the order a full rescan produces, which objective selection
 // tie-breaks on.
 func (w *window) setFrontier(t, p int, member bool) {
 	key := t*w.n + p
-	if w.inFrontier[key] == member {
-		return
-	}
 	w.inFrontier[key] = member
 	i := sort.Search(len(w.frontier), func(i int) bool {
 		e := w.frontier[i]
@@ -524,43 +438,6 @@ func (w *window) setFrontier(t, p int, member bool) {
 		w.frontier[i] = frontierEntry{t, p}
 	} else {
 		w.frontier = append(w.frontier[:i], w.frontier[i+1:]...)
-	}
-}
-
-// refresh rebuilds the post-simulation snapshot from scratch.
-func (w *window) refresh() {
-	clear(w.poD)
-	clear(w.inFrontier)
-	clear(w.dLastD)
-	w.frontier = w.frontier[:0]
-	w.poDCount, w.dLastCount = 0, 0
-	if w.flt == nil {
-		return
-	}
-	w.lineGood = w.faultLineGoodRaw()
-	for t := 0; t < w.k; t++ {
-		for _, p := range w.s.POPos {
-			if w.vals[t][p].isD() {
-				w.poD[t*w.n+int(p)] = true
-				w.poDCount++
-			}
-		}
-		for p, kind := range w.s.Kind {
-			switch kind {
-			case netlist.Input, netlist.DFF, netlist.Const0, netlist.Const1:
-				continue
-			}
-			if !w.vals[t][p].known() && w.seesD(t, p) {
-				w.frontier = append(w.frontier, frontierEntry{t, p})
-				w.inFrontier[t*w.n+p] = true
-			}
-		}
-	}
-	for i := range w.dLastD {
-		if w.dLine(w.k-1, i).isD() {
-			w.dLastD[i] = true
-			w.dLastCount++
-		}
 	}
 }
 
@@ -591,8 +468,16 @@ func (w *window) dFrontier() []frontierEntry { return w.frontier }
 
 // dReachesLastState reports whether a developed fault effect sits on a
 // DFF D line of the last frame — the effect would escape the window
-// into a later time frame (snapshot from the last simulation).
-func (w *window) dReachesLastState() bool { return w.dLastCount > 0 }
+// into a later time frame. It scans the last frame's D lines when asked
+// rather than tracking them on every evaluation.
+func (w *window) dReachesLastState() bool {
+	for i := range w.s.DFFPos {
+		if w.dLine(w.k-1, i).isD() {
+			return true
+		}
+	}
+	return false
+}
 
 // faultLineGood returns the good value of the faulted line at frame 0
 // (snapshot from the last simulation).

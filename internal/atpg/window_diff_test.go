@@ -64,39 +64,140 @@ func randWinCircuit(t *testing.T, rng *rand.Rand, trial int) *netlist.Circuit {
 	return c
 }
 
-// checkWindowsEqual compares every observable of two windows that the
-// search reads: the full composite value array, the D-frontier (contents
-// AND order — objective selection tie-breaks on first encounter), PO
-// detection, the escaping last-frame effects, and the fault-line good
-// value.
+// checkWindowsEqual pins got against want, and both against the
+// from-scratch oracle of got's inputs (want must hold the same
+// assignments), on every observable the search reads.
 func checkWindowsEqual(t *testing.T, label string, got, want *window) {
 	t.Helper()
+	ref := oracleOf(got)
+	compareWindows(t, label, got, ref)
+	compareWindows(t, label+" (want)", want, ref)
+}
+
+// compareWindows compares the observables the search reads from a
+// window: the full composite value array, the D-frontier (contents AND
+// order — objective selection tie-breaks on first encounter), PO
+// detection, the escaping last-frame effects, and the fault-line good
+// value.
+func compareWindows(t *testing.T, label string, got *window, want windowOracle) {
+	t.Helper()
 	if !reflect.DeepEqual(got.vals, want.vals) {
-		t.Fatalf("%s: window values diverge from full sweep", label)
+		t.Fatalf("%s: window values diverge from the oracle", label)
 	}
 	gf, wf := got.dFrontier(), want.dFrontier()
 	if len(gf) != len(wf) {
-		t.Fatalf("%s: frontier size %d, full sweep has %d", label, len(gf), len(wf))
+		t.Fatalf("%s: frontier size %d, oracle has %d", label, len(gf), len(wf))
 	}
 	for i := range gf {
 		if gf[i] != wf[i] {
-			t.Fatalf("%s: frontier[%d] = %v, full sweep has %v", label, i, gf[i], wf[i])
+			t.Fatalf("%s: frontier[%d] = %v, oracle has %v", label, i, gf[i], wf[i])
 		}
 	}
 	if got.detectedAtPO() != want.detectedAtPO() {
-		t.Fatalf("%s: poDetected %v, full sweep %v", label, got.detectedAtPO(), want.detectedAtPO())
+		t.Fatalf("%s: poDetected %v, oracle %v", label, got.detectedAtPO(), want.detectedAtPO())
 	}
 	if !reflect.DeepEqual(got.poD, want.poD) {
 		t.Fatalf("%s: per-PO detection flags diverge", label)
 	}
-	if got.dReachesLastState() != want.dReachesLastState() {
-		t.Fatalf("%s: dLast %v, full sweep %v", label, got.dReachesLastState(), want.dReachesLastState())
-	}
-	if !reflect.DeepEqual(got.dLastD, want.dLastD) {
-		t.Fatalf("%s: per-bit last-frame effect flags diverge", label)
+	if got.dReachesLastState() != want.dLast {
+		t.Fatalf("%s: dLast %v, oracle %v", label, got.dReachesLastState(), want.dLast)
 	}
 	if got.flt != nil && got.faultLineGood() != want.faultLineGood() {
-		t.Fatalf("%s: faultLineGood %v, full sweep %v", label, got.faultLineGood(), want.faultLineGood())
+		t.Fatalf("%s: faultLineGood %v, oracle %v", label, got.faultLineGood(), want.faultLineGood())
+	}
+}
+
+// windowOracle is the from-scratch reference for one window: a window
+// whose values and snapshot oracleOf rebuilt, plus whether an effect
+// escapes through a last-frame D line.
+type windowOracle struct {
+	*window
+	dLast bool
+}
+
+// oracleOf derives, from w's pseudo-input assignments alone, the window
+// a correct simulation must produce — without the window's evaluator.
+// Values come from evalGate5 over each gate's fanin values with the
+// fault injected, in topological order; the snapshot comes from
+// rescans: a per-pin faninVal scan for the D-frontier, a POPos scan for
+// PO detection, and a last-frame dLine scan for escaping effects.
+func oracleOf(w *window) windowOracle {
+	s := w.s
+	o := &window{s: s, n: w.n, k: w.k, flt: w.flt, fPos: w.fPos, fPin: w.fPin, fSA: w.fSA}
+	o.vals = make([][]V5, w.k)
+	o.poD = make([]bool, w.k*w.n)
+	for t := range o.vals {
+		o.vals[t] = make([]V5, w.n)
+		for p, kind := range s.Kind {
+			var v V5
+			switch kind {
+			case netlist.Input:
+				v = vBoth(w.piVals[t][s.PIAt[p]])
+			case netlist.DFF:
+				if t == 0 {
+					v = vBoth(w.stateVals[s.DFFAt[p]])
+				} else {
+					v = o.dLine(t-1, int(s.DFFAt[p]))
+				}
+			default:
+				in := make([]V5, s.FaninOff[p+1]-s.FaninOff[p])
+				for pin := range in {
+					in[pin] = o.faninVal(t, p, pin)
+				}
+				v = evalGate5(kind, in)
+			}
+			if p == w.fPos && w.fPin < 0 {
+				v.F = w.fSA
+			}
+			o.vals[t][p] = v
+		}
+	}
+	if w.flt == nil {
+		return windowOracle{window: o}
+	}
+	for t := range o.vals {
+		for _, p := range s.POPos {
+			if o.vals[t][p].isD() {
+				o.poD[t*w.n+int(p)] = true
+				o.poDCount++
+			}
+		}
+		for p, kind := range s.Kind {
+			switch kind {
+			case netlist.Input, netlist.DFF, netlist.Const0, netlist.Const1:
+				continue
+			}
+			if o.vals[t][p].known() {
+				continue
+			}
+			for pin := 0; pin < int(s.FaninOff[p+1]-s.FaninOff[p]); pin++ {
+				if o.faninVal(t, p, pin).isD() {
+					o.frontier = append(o.frontier, frontierEntry{t, p})
+					break
+				}
+			}
+		}
+	}
+	o.lineGood = o.faultLineGoodRaw()
+	dLast := false
+	for i := range s.DFFPos {
+		dLast = dLast || o.dLine(w.k-1, i).isD()
+	}
+	return windowOracle{window: o, dLast: dLast}
+}
+
+// TestIsDRailXor pins the identity the window's evaluator relies on to
+// collect D-visibility in its fanin walk: over all nine rail pairs of
+// the 0/1/X encoding, G^F == 1 exactly when the pair is D or D-bar.
+func TestIsDRailXor(t *testing.T) {
+	vals := []sim.Val{sim.V0, sim.V1, sim.VX}
+	for _, g := range vals {
+		for _, f := range vals {
+			v := V5{g, f}
+			if got := v.G^v.F == 1; got != v.isD() {
+				t.Errorf("V5{%v, %v}: G^F == 1 is %v, isD is %v", g, f, got, v.isD())
+			}
+		}
 	}
 }
 
@@ -144,11 +245,11 @@ func (op traceOp) apply(w *window) {
 
 // TestWindowDifferential drives randomized circuits through random
 // PODEM-style assignment/retraction traces and pins the incremental
-// window against a from-scratch full sweep after every single probe:
-// values, D-frontier (including order), PO detection, escaping effects,
-// and fault-line good value must all be identical, for the faulted and
-// the fault-free (justification-mode) window, across every fallback
-// mode. The oblivious verification mode must additionally charge
+// window, and a full-sweep window, against the from-scratch oracle
+// after every single probe: values, D-frontier (including order), PO
+// detection, escaping effects, and fault-line good value must all be
+// identical, for the faulted and the fault-free window, in one-frame
+// and multi-frame windows, across every fallback mode. The oblivious verification mode must additionally charge
 // exactly the same effort as plain incremental mode.
 func TestWindowDifferential(t *testing.T) {
 	trials := 6
@@ -163,61 +264,69 @@ func TestWindowDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := 2 + rng.Intn(4)
 		universe := fault.FullUniverse(c)
 		flts := []*fault.Fault{nil}
 		for len(flts) < 4 {
 			f := universe[rng.Intn(len(universe))]
 			flts = append(flts, &f)
 		}
-		for fi, flt := range flts {
-			trace := randTrace(rng, k, len(c.PIs), len(c.DFFs), steps)
-			for _, fb := range []int{0, -1, 2} {
-				inc := newWindow(soaOf(t, c), k, flt)
-				inc.fallbackEvals = fb
-				obl := newWindow(soaOf(t, c), k, flt)
-				obl.fallbackEvals = fb
-				obl.oblivious = true
-				ref := newWindow(soaOf(t, c), k, flt)
+		// Faults on the frame boundary: a branch fault on a DFF's D pin
+		// and a stem fault on the gate driving a D line.
+		q := c.DFFs[rng.Intn(len(c.DFFs))]
+		flts = append(flts,
+			&fault.Fault{Gate: q, Pin: 0, SA: sim.Val(rng.Intn(2))},
+			&fault.Fault{Gate: c.Gates[q].Fanin[0], Pin: -1, SA: sim.Val(rng.Intn(2))})
+		// k = 1 is the shape of every justification window.
+		for _, k := range []int{1, 2 + rng.Intn(4)} {
+			for fi, flt := range flts {
+				trace := randTrace(rng, k, len(c.PIs), len(c.DFFs), steps)
+				for _, fb := range []int{0, -1, 2} {
+					inc := newWindow(soaOf(t, c), k, flt)
+					inc.fallbackEvals = fb
+					obl := newWindow(soaOf(t, c), k, flt)
+					obl.fallbackEvals = fb
+					obl.oblivious = true
+					ref := newWindow(soaOf(t, c), k, flt)
 
-				// Fresh windows must charge exactly one full sweep.
-				if got := inc.simulate(); got != k*len(order) {
-					t.Fatalf("fresh window charged %d, want %d", got, k*len(order))
-				}
-				obl.simulate()
-				ref.simulate()
-				checkWindowsEqual(t, "fresh", inc, ref)
-
-				total := 0
-				for si, op := range trace {
-					op.apply(inc)
-					op.apply(obl)
-					op.apply(ref)
-					incEvals := inc.simulate()
-					oblEvals := obl.simulate()
-					ref.invalidate()
+					// Fresh windows must charge exactly one full sweep.
+					if got := inc.simulate(); got != k*len(order) {
+						t.Fatalf("fresh window charged %d, want %d", got, k*len(order))
+					}
+					obl.simulate()
 					ref.simulate()
+					checkWindowsEqual(t, "fresh", inc, ref)
 
-					label := fmt.Sprintf("trial %d fault %d fb %d step %d", trial, fi, fb, si)
-					checkWindowsEqual(t, label, inc, ref)
-					checkWindowsEqual(t, label+" (oblivious)", obl, ref)
-					if incEvals != oblEvals {
-						t.Fatalf("%s: oblivious mode charged %d, incremental %d", label, oblEvals, incEvals)
+					total := 0
+					for si, op := range trace {
+						op.apply(inc)
+						op.apply(obl)
+						op.apply(ref)
+						incEvals := inc.simulate()
+						oblEvals := obl.simulate()
+						ref.invalidate()
+						ref.simulate()
+
+						label := fmt.Sprintf("trial %d k %d fault %d fb %d step %d", trial, k, fi, fb, si)
+						checkWindowsEqual(t, label, inc, ref)
+						checkWindowsEqual(t, label+" (oblivious)", obl, ref)
+						if incEvals != oblEvals {
+							t.Fatalf("%s: oblivious mode charged %d, incremental %d", label, oblEvals, incEvals)
+						}
+						if fb < 0 && incEvals > k*len(order) {
+							t.Fatalf("%s: pure event-driven charged %d > one full sweep %d", label, incEvals, k*len(order))
+						}
+						if incEvals > 2*k*len(order) {
+							t.Fatalf("%s: charged %d > fallback bound %d", label, incEvals, 2*k*len(order))
+						}
+						total += incEvals
 					}
-					if fb < 0 && incEvals > k*len(order) {
-						t.Fatalf("%s: pure event-driven charged %d > one full sweep %d", label, incEvals, k*len(order))
+					// A quiesced window costs nothing to re-simulate.
+					if got := inc.simulate(); got != 0 {
+						t.Fatalf("quiesced window charged %d, want 0", got)
 					}
-					if incEvals > 2*k*len(order) {
-						t.Fatalf("%s: charged %d > fallback bound %d", label, incEvals, 2*k*len(order))
+					if total <= 0 {
+						t.Fatalf("trace charged no effort at all")
 					}
-					total += incEvals
-				}
-				// A quiesced window costs nothing to re-simulate.
-				if got := inc.simulate(); got != 0 {
-					t.Fatalf("quiesced window charged %d, want 0", got)
-				}
-				if total <= 0 {
-					t.Fatalf("trace charged no effort at all")
 				}
 			}
 		}

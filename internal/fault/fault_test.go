@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"seqatpg/internal/encode"
@@ -277,10 +278,27 @@ func TestStateTraceRejectsWideState(t *testing.T) {
 			if len(states) != n+1 {
 				t.Fatalf("%d stages: %d states traversed, want %d", n, len(states), n+1)
 			}
-			continue
-		}
-		if !errors.Is(err, ErrStateTooWide) {
+		} else if !errors.Is(err, ErrStateTooWide) {
 			t.Fatalf("%d stages: err %v, want ErrStateTooWide (%d states counted)", n, err, len(states))
+		}
+		// TraceStates on one simulator reused across traces agrees with
+		// StateTrace every time: each trace starts from power-up.
+		s, serr := sim.NewSimulator(c)
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		for pass := 0; pass < 2; pass++ {
+			got := map[uint64]bool{}
+			terr := TraceStates(s, seq, got)
+			if (terr == nil) != (err == nil) || (err != nil && !errors.Is(terr, ErrStateTooWide)) {
+				t.Fatalf("%d stages pass %d: TraceStates err %v, StateTrace err %v", n, pass, terr, err)
+			}
+			if err == nil && !reflect.DeepEqual(got, states) {
+				t.Fatalf("%d stages pass %d: TraceStates found %d states, StateTrace %d", n, pass, len(got), len(states))
+			}
+			if err != nil && len(got) != 0 {
+				t.Fatalf("%d stages pass %d: refused trace still added %d states", n, pass, len(got))
+			}
 		}
 	}
 }

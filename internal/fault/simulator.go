@@ -414,22 +414,33 @@ var ErrStateTooWide = errors.New("fault: state trace packs at most 64 DFFs")
 // traversed by original test set" column (Table 8). Circuits with more
 // than sim.MaxStateBits DFFs fail with ErrStateTooWide.
 func StateTrace(c *netlist.Circuit, seq [][]sim.Val) (map[uint64]bool, error) {
-	if n := c.NumDFFs(); n > sim.MaxStateBits {
-		return nil, fmt.Errorf("%w: circuit has %d", ErrStateTooWide, n)
-	}
 	s, err := sim.NewSimulator(c)
 	if err != nil {
 		return nil, err
 	}
-	s.PowerUp()
 	states := map[uint64]bool{}
+	if err := TraceStates(s, seq, states); err != nil {
+		return nil, err
+	}
+	return states, nil
+}
+
+// TraceStates is StateTrace on an existing good-machine simulator: it
+// powers s up, applies the sequence and adds every fully specified
+// state traversed to states. It refuses circuits wider than
+// sim.MaxStateBits with ErrStateTooWide before adding anything.
+func TraceStates(s *sim.Simulator, seq [][]sim.Val, states map[uint64]bool) error {
+	if n := s.NumDFFs(); n > sim.MaxStateBits {
+		return fmt.Errorf("%w: circuit has %d", ErrStateTooWide, n)
+	}
+	s.PowerUp()
 	for _, vec := range seq {
 		if _, err := s.Step(vec); err != nil {
-			return nil, err
+			return err
 		}
 		if bits, ok := s.StateBits(); ok {
 			states[bits] = true
 		}
 	}
-	return states, nil
+	return nil
 }

@@ -27,6 +27,8 @@ func FuzzSpec(f *testing.F) {
 	// is allocated, not an out-of-memory crash.
 	f.Add([]byte(`{"netlist":"INPUT(a)\nOUTPUT(z)\nz = DFF(a)\n","shards":17179869184}`))
 	f.Add([]byte(`{"netlist":"INPUT(a)\nOUTPUT(z)\nz = DFF(a)\n","shard":{"index":0,"count":17179869184}}`))
+	// Retry counts past MaxRetries: rejected before any pass runs.
+	f.Add([]byte(`{"netlist":"INPUT(a)\nOUTPUT(z)\nz = DFF(a)\n","retries":1000000}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
@@ -41,7 +43,9 @@ func FuzzSpec(f *testing.F) {
 		}
 		var spec Spec
 		if json.Unmarshal(data, &spec) == nil {
-			_, _ = Prepare(spec)
+			if p, err := Prepare(spec); err == nil && p.Campaign.Retries > MaxRetries {
+				t.Fatalf("Prepare accepted retries=%d past MaxRetries", p.Campaign.Retries)
+			}
 		}
 		var tf terminalFile
 		if json.Unmarshal(data, &tf) == nil {

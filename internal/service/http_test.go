@@ -403,3 +403,40 @@ func TestMetricsReconcile(t *testing.T) {
 		}
 	}
 }
+
+// TestRetriesCap: a retry count above MaxRetries is rejected by Prepare
+// and over HTTP as a 4xx that leaves the server serving and nothing
+// persisted for a restart to re-run; MaxRetries itself is accepted.
+func TestRetriesCap(t *testing.T) {
+	text := benchText(t, 4, 3)
+	for _, n := range []int{MaxRetries + 1, 1_000_000} {
+		if _, err := Prepare(Spec{Netlist: text, Retries: n}); err == nil {
+			t.Fatalf("Prepare accepted retries=%d", n)
+		}
+	}
+	if _, err := Prepare(Spec{Netlist: text, Retries: MaxRetries}); err != nil {
+		t.Fatalf("Prepare rejected retries at the cap: %v", err)
+	}
+
+	srv, base := startHTTP(t, Options{Workers: 1})
+	body := `{"netlist":` + strconv.Quote(text) + `,"retries":1000000}`
+	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("over-cap retries: status %d, want 4xx", resp.StatusCode)
+	}
+	resp, err = http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after an over-cap submission: %d", resp.StatusCode)
+	}
+	if jobs := srv.List(); len(jobs) != 0 {
+		t.Fatalf("over-cap submission persisted %d job(s)", len(jobs))
+	}
+}

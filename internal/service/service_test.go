@@ -103,6 +103,7 @@ func TestPrepareValidatesSpec(t *testing.T) {
 		{"negative shards", func(s *Spec) { s.Shards = -1 }},
 		{"negative max faults", func(s *Spec) { s.MaxFaults = -4 }},
 		{"negative retries", func(s *Spec) { s.Retries = -1 }},
+		{"retries over the cap", func(s *Spec) { s.Retries = MaxRetries + 1 }},
 		{"negative budget", func(s *Spec) { s.FaultBudget = -1 }},
 	}
 	for _, tc := range cases {

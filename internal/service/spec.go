@@ -36,7 +36,8 @@ type Spec struct {
 	// evaluations; zero selects 8000 x gates, as cmd/atpg does.
 	FaultBudget int64 `json:"fault_budget,omitempty"`
 	// Retries is the number of 2x/4x/... escalation passes re-attacking
-	// aborted faults; zero means a single pass.
+	// aborted faults; zero means a single pass, more than MaxRetries is
+	// rejected.
 	Retries int `json:"retries,omitempty"`
 	// Shards > 1 runs the campaign with deterministic fault-level
 	// parallelism: campaign.Execute over the campaign.PlanRoundRobin
@@ -77,6 +78,13 @@ type Spec struct {
 // count would let one request exhaust the server's memory again on
 // every start.
 const MaxShards = 256
+
+// MaxRetries caps Spec.Retries. Every retry pass re-attacks each
+// aborted fault at twice the previous pass's budget, and a spec is
+// persisted at submission and re-run after a restart, so an unbounded
+// count would let one request on all-aborting faults keep a worker busy
+// pass after pass, again on every start.
+const MaxRetries = 16
 
 // ShardSel names one shard of a deterministic fault partition (see
 // Plan). Coordinator and worker each derive the partition
@@ -164,6 +172,9 @@ func Prepare(spec Spec) (*Prepared, error) {
 	}
 	if spec.Shards < 0 || spec.Shards > MaxShards {
 		return nil, fmt.Errorf("service: shards %d out of range [0, %d]", spec.Shards, MaxShards)
+	}
+	if spec.Retries < 0 || spec.Retries > MaxRetries {
+		return nil, fmt.Errorf("service: retries %d out of range [0, %d]", spec.Retries, MaxRetries)
 	}
 	if spec.MaxFaults < 0 {
 		return nil, fmt.Errorf("service: negative max_faults %d", spec.MaxFaults)

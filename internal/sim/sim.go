@@ -150,7 +150,6 @@ func EvalGate(t netlist.GateType, in []Val) Val {
 // arrays by topological position with no per-gate allocation, instead
 // of chasing each Gate's separately heap-allocated fanin slice.
 type Simulator struct {
-	c     *netlist.Circuit
 	soa   *netlist.SoA
 	vals  []Val // per-position value of the current evaluation
 	next  []Val // per-DFF captured D value scratch
@@ -164,15 +163,21 @@ func NewSimulator(c *netlist.Circuit) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewSimulatorSoA(soa), nil
+}
+
+// NewSimulatorSoA builds a simulator over an existing circuit view. The
+// simulator only reads the view, so one view can serve any number of
+// simulators. All DFFs power up at X.
+func NewSimulatorSoA(soa *netlist.SoA) *Simulator {
 	s := &Simulator{
-		c:     c,
 		soa:   soa,
-		vals:  make([]Val, len(c.Gates)),
-		next:  make([]Val, len(c.DFFs)),
-		state: make([]Val, len(c.DFFs)),
+		vals:  make([]Val, soa.NumGates()),
+		next:  make([]Val, soa.NumDFFs()),
+		state: make([]Val, soa.NumDFFs()),
 	}
 	s.PowerUp()
-	return s, nil
+	return s
 }
 
 // PowerUp sets every DFF to X (the unknown power-on state).
@@ -195,6 +200,9 @@ func (s *Simulator) SetState(vals []Val) error {
 func (s *Simulator) State() []Val {
 	return append([]Val(nil), s.state...)
 }
+
+// NumDFFs returns the width of the simulated state.
+func (s *Simulator) NumDFFs() int { return len(s.state) }
 
 // StateKnown reports whether every DFF holds a binary value.
 func (s *Simulator) StateKnown() bool {
