@@ -237,9 +237,9 @@ type conflictWitness struct {
 // railVal reads one rail of the value at position p of frame t.
 func railVal(w *window, onF bool, t, p int) sim.Val {
 	if onF {
-		return w.vals[t][p].F
+		return w.val(t, p).F
 	}
-	return w.vals[t][p].G
+	return w.val(t, p).G
 }
 
 // analyzeLine walks the implicit implication graph backward from a

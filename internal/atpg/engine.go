@@ -544,8 +544,14 @@ func compatible(cube, state []sim.Val) bool {
 	return true
 }
 
-// fullySpecified reports whether the cube pins every state bit.
+// fullySpecified reports whether the cube pins every state bit, and
+// packs it into the key of the achieved-state store. A cube wider than
+// sim.MaxStateBits does not fit the key and reports false, so
+// state-keyed reuse is skipped for it.
 func fullySpecified(cube []sim.Val) (uint64, bool) {
+	if len(cube) > sim.MaxStateBits {
+		return 0, false
+	}
 	var bits uint64
 	for i, v := range cube {
 		switch v {

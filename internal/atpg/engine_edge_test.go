@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"fmt"
 	"testing"
 
 	"seqatpg/internal/encode"
@@ -231,4 +232,47 @@ func det110(t *testing.T) *netlist.Circuit {
 		t.Fatal(err)
 	}
 	return r.Circuit
+}
+
+// TestLearningSkipsWideStates: past sim.MaxStateBits DFFs a fully
+// specified state does not fit the packed key of the achieved-state
+// store, so state-keyed reuse must be skipped instead of aliasing states
+// that differ only beyond bit 63. The circuit loads one signal into
+// every DFF, so all-ones is reachable and all-ones-but-the-last is not.
+func TestLearningSkipsWideStates(t *testing.T) {
+	n := sim.MaxStateBits + 1
+	c := netlist.New("wide")
+	reset := c.AddGate(netlist.Input, "reset")
+	c.ResetPI = reset
+	in := c.AddGate(netlist.Input, "in")
+	nr := c.AddGate(netlist.Not, "nr", reset)
+	a := c.AddGate(netlist.And, "a", in, nr)
+	for i := 0; i < n; i++ {
+		q := c.AddGate(netlist.DFF, fmt.Sprintf("q%d", i), a)
+		c.AddGate(netlist.Output, fmt.Sprintf("o%d", i), q)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(c, Config{MaxFrames: 2, FaultBudget: 1_000_000, Learning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones := make([]sim.Val, n)
+	for i := range ones {
+		ones[i] = sim.V1
+	}
+	if _, full := fullySpecified(ones); full {
+		t.Errorf("a %d-bit state was packed into a uint64 key", n)
+	}
+	e.remaining = e.cfg.FaultBudget // as the run loop arms it per fault
+	reset0 := e.faultyFlushState(nil)
+	if _, ok := e.justify(nil, reset0, ones, 2, map[string]bool{}); !ok {
+		t.Fatal("the all-ones state must be justifiable")
+	}
+	mixed := append([]sim.Val(nil), ones...)
+	mixed[n-1] = sim.V0
+	if seq, ok := e.justify(nil, reset0, mixed, 2, map[string]bool{}); ok {
+		t.Fatalf("justified an unreachable state with %v (learn hits %d)", seq, e.Stats.LearnHits)
+	}
 }

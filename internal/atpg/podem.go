@@ -425,7 +425,7 @@ func (e *Engine) backtrace(w *window, obj objective) (pseudoInput, sim.Val, bool
 			wantCtrl := need == ctrl
 			best, bestCost := -1, int(^uint(0)>>1)
 			for _, f := range fan {
-				if w.vals[frame][f].G != sim.VX {
+				if w.val(frame, int(f)).G != sim.VX {
 					continue
 				}
 				id := int(s.Order[f])
@@ -452,7 +452,7 @@ func (e *Engine) backtrace(w *window, obj objective) (pseudoInput, sim.Val, bool
 			// Pick an X input; aim for the value that makes the output
 			// match given the other input (or 0 if both unknown).
 			a, b := int(fan[0]), int(fan[1])
-			va, vb := w.vals[frame][a].G, w.vals[frame][b].G
+			va, vb := w.val(frame, a).G, w.val(frame, b).G
 			need := want
 			if kind == netlist.Xnor {
 				need = sim.NotV(need)

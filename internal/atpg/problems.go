@@ -89,7 +89,7 @@ func (p *detectProblem) objective(w *window) (objective, bool) {
 	}
 	ctrl, _, hasCtrl := controlling(w.s.Kind[best.p])
 	for _, f := range w.s.Fanin[w.s.FaninOff[best.p]:w.s.FaninOff[best.p+1]] {
-		if w.vals[best.t][f].G != sim.VX {
+		if w.val(best.t, int(f)).G != sim.VX {
 			continue
 		}
 		want := sim.V0
@@ -179,7 +179,7 @@ func (p *justifyProblem) publishLemma(e *Engine, w *window, wt conflictWitness, 
 	if !stateOnly(lits, len(w.stateVals)) {
 		return
 	}
-	forced := w.vals[0][wt.pos].G
+	forced := w.val(0, wt.pos).G
 	if forced == sim.VX {
 		return
 	}

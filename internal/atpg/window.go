@@ -31,10 +31,14 @@ import (
 // at higher positions, so the ascending scan evaluates every gate after
 // its changed fanins, in exactly topological order; a change on a D
 // line marks the DFF in the next frame. One evaluator serves the drain,
-// the per-frame fallback and the full sweep: a single walk over a
-// gate's fanins folds both rails, notes which pins carry a fault
-// effect, stores the value and updates the post-simulation snapshot
-// (PO detection, D-frontier membership). Whether an effect escapes
+// the per-frame fallback and the full sweep. Values are stored as
+// one-byte codes (see codeOf), so a single walk over a gate's fanins
+// ORs their codes into the value set each rail sees, plus a bit telling
+// whether some pin carries a fault effect; one table lookup turns that
+// set into the output code. The same call stores the code and updates
+// the post-simulation snapshot (PO detection, D-frontier membership)
+// with bit tests on it. Callers read values as V5 through val, faninVal
+// and dLine, which decode. Whether an effect escapes
 // through a last-frame D line is not tracked per evaluation; it is
 // checked on query by scanning those D lines. Once a frame's cascade
 // reaches 3/4 of the gate count the rest of the frame is finished with
@@ -49,14 +53,20 @@ type window struct {
 
 	piVals    [][]sim.Val // [frame][pi] assigned values; VX = unassigned
 	stateVals []sim.Val   // frame-0 pseudo-input state; VX = unassigned
-	vals      [][]V5      // [frame][position] composite values
+	vals      [][]uint8   // [frame][position] value codes; slot n is scratch
 
 	// Hoisted fault-injection site: the faulted gate's position, the
 	// pin (-1 for a stem fault) and the stuck-at value. fPos is -1 when
 	// flt is nil, so no position matches and the non-faulted path never
-	// branches on it.
+	// branches on it. For a pin fault, fFan is
+	// the faulted gate's fanin list with the pin redirected to the
+	// scratch slot n of the row it reads, and fSrc is the pin's real
+	// source: only the faulted gate reads the injected value, and no
+	// fanin walk compares pins.
 	fPos, fPin int
 	fSA        sim.Val
+	fFan       []int32
+	fSrc       int32
 
 	// Event machinery. full forces the next simulate to sweep
 	// everything (fresh window, or after invalidate). pend holds one
@@ -91,7 +101,6 @@ type window struct {
 	poDCount   int
 	frontier   []frontierEntry
 	inFrontier []bool // [t*n+p]
-	lineGood   sim.Val
 }
 
 // frontierEntry is a D-frontier gate: frame t, position p.
@@ -111,6 +120,10 @@ func newWindow(s *netlist.SoA, k int, flt *fault.Fault) *window {
 	}
 	if flt != nil {
 		w.fPos, w.fPin, w.fSA = int(s.Pos[flt.Gate]), flt.Pin, flt.SA
+		if w.fPin >= 0 {
+			w.fFan = append([]int32(nil), s.Fanin[s.FaninOff[w.fPos]:s.FaninOff[w.fPos+1]]...)
+			w.fSrc, w.fFan[w.fPin] = w.fFan[w.fPin], int32(n)
+		}
 	}
 	nPI := len(s.PIPos)
 	pis := make([]sim.Val, k*nPI+s.NumDFFs())
@@ -122,10 +135,10 @@ func newWindow(s *netlist.SoA, k int, flt *fault.Fault) *window {
 		w.piVals[t] = pis[t*nPI : (t+1)*nPI : (t+1)*nPI]
 	}
 	w.stateVals = pis[k*nPI:]
-	rows := make([]V5, k*n)
-	w.vals = make([][]V5, k)
+	rows := make([]uint8, k*(n+1))
+	w.vals = make([][]uint8, k)
 	for t := range w.vals {
-		w.vals[t] = rows[t*n : (t+1)*n : (t+1)*n]
+		w.vals[t] = rows[t*(n+1) : (t+1)*(n+1) : (t+1)*(n+1)]
 	}
 	w.pend = make([]uint64, k*w.words)
 	w.lo = make([]int, k)
@@ -201,9 +214,6 @@ func (w *window) simulate() int {
 		if w.oblivious {
 			w.sweepAll()
 		}
-	}
-	if w.flt != nil {
-		w.lineGood = w.faultLineGoodRaw()
 	}
 	return evals
 }
@@ -295,91 +305,73 @@ func (w *window) sweepAll() {
 }
 
 // evalComposite evaluates position p of frame t on both rails with the
-// target fault injected, stores the value, and reports whether it
-// changed. The one walk over the fanins also collects which fanin pins
-// carry a fault effect, so the same call updates the snapshot: PO
-// detection, and D-frontier membership (an unknown output seeing a
-// developed effect on some pin). Membership is refreshed whether or not
-// the value changed, because it also depends on the fanin values that
-// triggered the evaluation. Only the faulted position checks for
-// injection; a fault-free window never matches it, so its rails stay
-// equal and its snapshot stays empty.
+// target fault injected, stores the value code, and reports whether it
+// changed. The one walk over the fanins ORs their codes, which also
+// tells whether some pin carries a fault effect, so the same call
+// updates the snapshot: PO detection, and D-frontier membership (an
+// unknown output seeing a developed effect on some pin). Membership is
+// refreshed whether or not the value changed, because it also depends
+// on the fanin values that triggered the evaluation. Only the faulted
+// position injects; a fault-free window never matches it, so its rails
+// stay equal and its snapshot stays empty.
 func (w *window) evalComposite(t, p int) bool {
 	s := w.s
 	vals := w.vals[t]
 	fan := s.Fanin[s.FaninOff[p]:s.FaninOff[p+1]]
-	injPin := -2 // matches no pin
+	stem := false
 	if p == w.fPos {
-		injPin = w.fPin
+		if w.fPin < 0 {
+			stem = true
+		} else {
+			fan = w.injectPin(t)
+		}
 	}
-	// Bit G^F of dm is set for each fanin seen: on the 0/1/X encoding
-	// G^F == 1 exactly when the pin carries D or D-bar.
-	var v V5
-	var dm uint8
+	// m is the OR of the fanin codes: the value set of each rail in its
+	// low six bits, codeD when some pin carries D or D-bar.
+	var c, m uint8
 	kind := s.Kind[p]
 	switch kind {
 	case netlist.Input:
-		v = vBoth(w.piVals[t][s.PIAt[p]])
+		c = codeBoth(w.piVals[t][s.PIAt[p]])
 	case netlist.DFF:
 		if t == 0 {
-			v = vBoth(w.stateVals[s.DFFAt[p]])
+			c = codeBoth(w.stateVals[s.DFFAt[p]])
 		} else {
-			v = w.vals[t-1][fan[0]]
-			if injPin == 0 {
-				v.F = w.fSA
-			}
+			c = w.vals[t-1][fan[0]]
 		}
 	case netlist.Const0:
-		v = vBoth(sim.V0)
+		c = codeBoth(sim.V0)
 	case netlist.Const1:
-		v = vBoth(sim.V1)
-	case netlist.Buf, netlist.Output, netlist.Not:
-		v = vals[fan[0]]
-		if injPin == 0 {
-			v.F = w.fSA
-		}
-		dm = 1 << (v.G ^ v.F)
-		if kind == netlist.Not {
-			v = V5{notV[v.G], notV[v.F]}
-		}
+		c = codeBoth(sim.V1)
+	case netlist.Buf, netlist.Output:
+		c = vals[fan[0]]
+		m = c
+	case netlist.Not:
+		m = vals[fan[0]]
+		c = notCode[m]
 	case netlist.And, netlist.Or, netlist.Nand, netlist.Nor:
-		var m uint8
-		for pin, f := range fan {
-			in := vals[f]
-			if pin == injPin {
-				in.F = w.fSA
-			}
-			m |= 1<<in.G | 8<<in.F
-			dm |= 1 << (in.G ^ in.F)
+		for _, f := range fan {
+			m |= vals[f]
 		}
-		v = foldTab[kind-netlist.And][m]
+		c = foldTab[kind-netlist.And][m&63]
 	case netlist.Xor, netlist.Xnor:
-		gAcc, fAcc := sim.V0, sim.V0
-		for pin, f := range fan {
-			in := vals[f]
-			if pin == injPin {
-				in.F = w.fSA
-			}
-			gAcc = sim.XorV(gAcc, in.G)
-			fAcc = sim.XorV(fAcc, in.F)
-			dm |= 1 << (in.G ^ in.F)
+		var x uint8
+		for _, f := range fan {
+			m |= vals[f]
+			x ^= vals[f]
 		}
-		if kind == netlist.Xnor {
-			gAcc, fAcc = sim.NotV(gAcc), sim.NotV(fAcc)
-		}
-		v = V5{gAcc, fAcc}
+		c = foldTab[kind-netlist.And][m&codeX|x&codeOne]
 	}
-	// Stem fault injection.
-	if injPin == -1 {
-		v.F = w.fSA
+	if stem {
+		c = injCode[w.fSA][c]
 	}
-	changed := v != vals[p]
-	vals[p] = v
+	changed := c != vals[p]
+	vals[p] = c
 
-	// Sources walk no fanin (dm == 0), so they never join the frontier.
+	// Sources walk no fanin (m == 0), so they never join the frontier.
 	key := t*w.n + p
 	if kind == netlist.Output {
-		if d := v.isD(); d != w.poD[key] {
+		if d := c&codeD != 0; d != w.poD[key] {
 			w.poD[key] = d
 			if d {
 				w.poDCount++
@@ -388,38 +380,27 @@ func (w *window) evalComposite(t, p int) bool {
 			}
 		}
 	}
-	if member := dm&2 != 0 && !v.known(); member != w.inFrontier[key] {
+	if member := m&codeD != 0 && c&codeX != 0; member != w.inFrontier[key] {
 		w.setFrontier(t, p, member)
 	}
 	return changed
 }
 
-// notV is sim.NotV as a table.
-var notV = [3]sim.Val{sim.V1, sim.V0, sim.VX}
-
-// foldTab[kind-And][m] is the composite output of an And, Or, Nand or
-// Nor gate whose fanins show the value set m on each rail: bit v of m
-// is set when some good-rail fanin is v, bit 3+v when some faulty-rail
-// fanin is. These gates depend only on which values occur, not on how
-// often or on which pin, so folding a gate is one OR per fanin and one
-// lookup.
-var foldTab = func() (tab [4][64]V5) {
-	for kind := netlist.And; kind <= netlist.Nor; kind++ {
-		for m := range tab[kind-netlist.And] {
-			var g, f []sim.Val
-			for v := sim.V0; v <= sim.VX; v++ {
-				if m&(1<<v) != 0 {
-					g = append(g, v)
-				}
-				if m&(8<<v) != 0 {
-					f = append(f, v)
-				}
-			}
-			tab[kind-netlist.And][m] = V5{sim.EvalGate(kind, g), sim.EvalGate(kind, f)}
+// injectPin prepares a pin fault for evaluating the faulted gate in
+// frame t: it loads the scratch slot of the row the pin reads (frame
+// t, or frame t-1 for a DFF's D pin) with the pin source's code, faulty
+// rail stuck, and returns the fanin list that reads the slot.
+func (w *window) injectPin(t int) []int32 {
+	row := w.vals[t]
+	if w.s.Kind[w.fPos] == netlist.DFF {
+		if t == 0 {
+			return w.fFan // the frame-0 state is a pseudo-input: no pin is read
 		}
+		row = w.vals[t-1]
 	}
-	return tab
-}()
+	row[w.n] = injCode[w.fSA][row[w.fSrc]]
+	return w.fFan
+}
 
 // setFrontier flips position p's frame-t frontier membership, keeping
 // the frontier slice sorted by (frame, topological position) — exactly
@@ -441,14 +422,17 @@ func (w *window) setFrontier(t, p int, member bool) {
 	}
 }
 
+// val returns the composite value at position p of frame t.
+func (w *window) val(t, p int) V5 { return decode[w.vals[t][p]] }
+
 // faninVal returns the composite value position p sees on fanin pin at
 // frame t, with branch-fault injection applied.
 func (w *window) faninVal(t, p, pin int) V5 {
-	v := w.vals[t][w.s.Fanin[int(w.s.FaninOff[p])+pin]]
+	c := w.vals[t][w.s.Fanin[int(w.s.FaninOff[p])+pin]]
 	if p == w.fPos && pin == w.fPin {
-		v.F = w.fSA
+		c = injCode[w.fSA][c]
 	}
-	return v
+	return decode[c]
 }
 
 // dLine returns the composite value state bit i captures at the end of
@@ -480,12 +464,10 @@ func (w *window) dReachesLastState() bool {
 }
 
 // faultLineGood returns the good value of the faulted line at frame 0
-// (snapshot from the last simulation).
-func (w *window) faultLineGood() sim.Val { return w.lineGood }
-
-func (w *window) faultLineGoodRaw() sim.Val {
+// as of the last simulation (only simulate writes values).
+func (w *window) faultLineGood() sim.Val {
 	p, _ := w.excitationObjective()
-	return w.vals[0][p].G
+	return w.val(0, p).G
 }
 
 // excitationObjective returns the (frame-0) line position and good

@@ -75,26 +75,30 @@ func checkWindowsEqual(t *testing.T, label string, got, want *window) {
 }
 
 // compareWindows compares the observables the search reads from a
-// window: the full composite value array, the D-frontier (contents AND
-// order — objective selection tie-breaks on first encounter), PO
-// detection, the escaping last-frame effects, and the fault-line good
-// value.
+// window: every composite value (the window's codes decoded, against
+// the oracle's V5 rows), the D-frontier (contents AND order — objective
+// selection tie-breaks on first encounter), PO detection, the escaping
+// last-frame effects, and the fault-line good value.
 func compareWindows(t *testing.T, label string, got *window, want windowOracle) {
 	t.Helper()
-	if !reflect.DeepEqual(got.vals, want.vals) {
-		t.Fatalf("%s: window values diverge from the oracle", label)
-	}
-	gf, wf := got.dFrontier(), want.dFrontier()
-	if len(gf) != len(wf) {
-		t.Fatalf("%s: frontier size %d, oracle has %d", label, len(gf), len(wf))
-	}
-	for i := range gf {
-		if gf[i] != wf[i] {
-			t.Fatalf("%s: frontier[%d] = %v, oracle has %v", label, i, gf[i], wf[i])
+	for tf, row := range want.vals {
+		for p, v := range row {
+			if g := got.val(tf, p); g != v {
+				t.Fatalf("%s: frame %d position %d is %v, oracle has %v", label, tf, p, g, v)
+			}
 		}
 	}
-	if got.detectedAtPO() != want.detectedAtPO() {
-		t.Fatalf("%s: poDetected %v, oracle %v", label, got.detectedAtPO(), want.detectedAtPO())
+	gf := got.dFrontier()
+	if len(gf) != len(want.frontier) {
+		t.Fatalf("%s: frontier size %d, oracle has %d", label, len(gf), len(want.frontier))
+	}
+	for i := range gf {
+		if gf[i] != want.frontier[i] {
+			t.Fatalf("%s: frontier[%d] = %v, oracle has %v", label, i, gf[i], want.frontier[i])
+		}
+	}
+	if want := want.poDCount > 0; got.detectedAtPO() != want {
+		t.Fatalf("%s: poDetected %v, oracle %v", label, got.detectedAtPO(), want)
 	}
 	if !reflect.DeepEqual(got.poD, want.poD) {
 		t.Fatalf("%s: per-PO detection flags diverge", label)
@@ -102,30 +106,39 @@ func compareWindows(t *testing.T, label string, got *window, want windowOracle) 
 	if got.dReachesLastState() != want.dLast {
 		t.Fatalf("%s: dLast %v, oracle %v", label, got.dReachesLastState(), want.dLast)
 	}
-	if got.flt != nil && got.faultLineGood() != want.faultLineGood() {
-		t.Fatalf("%s: faultLineGood %v, oracle %v", label, got.faultLineGood(), want.faultLineGood())
+	if got.flt != nil && got.faultLineGood() != want.lineGood {
+		t.Fatalf("%s: faultLineGood %v, oracle %v", label, got.faultLineGood(), want.lineGood)
 	}
 }
 
-// windowOracle is the from-scratch reference for one window: a window
-// whose values and snapshot oracleOf rebuilt, plus whether an effect
-// escapes through a last-frame D line.
+// windowOracle is the from-scratch reference for one window: its
+// composite values as V5 rows, and the snapshot derived from them.
 type windowOracle struct {
-	*window
-	dLast bool
+	vals     [][]V5 // [frame][position]
+	poD      []bool // [t*n+p]
+	poDCount int
+	frontier []frontierEntry
+	dLast    bool // an effect escapes through a last-frame D line
+	lineGood sim.Val
 }
 
 // oracleOf derives, from w's pseudo-input assignments alone, the window
-// a correct simulation must produce — without the window's evaluator.
-// Values come from evalGate5 over each gate's fanin values with the
-// fault injected, in topological order; the snapshot comes from
-// rescans: a per-pin faninVal scan for the D-frontier, a POPos scan for
-// PO detection, and a last-frame dLine scan for escaping effects.
+// a correct simulation must produce — without the window's evaluator or
+// its code tables. Values come from evalGate5 over each gate's fanin
+// values with the fault injected, in topological order; the snapshot
+// comes from rescans: a per-pin scan for the D-frontier, a POPos scan
+// for PO detection, and a last-frame D-line scan for escaping effects.
 func oracleOf(w *window) windowOracle {
 	s := w.s
-	o := &window{s: s, n: w.n, k: w.k, flt: w.flt, fPos: w.fPos, fPin: w.fPin, fSA: w.fSA}
-	o.vals = make([][]V5, w.k)
-	o.poD = make([]bool, w.k*w.n)
+	o := windowOracle{vals: make([][]V5, w.k), poD: make([]bool, w.k*w.n)}
+	// fanin is the value pin of position p sees in frame t.
+	fanin := func(t, p, pin int) V5 {
+		v := o.vals[t][s.Fanin[int(s.FaninOff[p])+pin]]
+		if p == w.fPos && pin == w.fPin {
+			v.F = w.fSA
+		}
+		return v
+	}
 	for t := range o.vals {
 		o.vals[t] = make([]V5, w.n)
 		for p, kind := range s.Kind {
@@ -137,12 +150,12 @@ func oracleOf(w *window) windowOracle {
 				if t == 0 {
 					v = vBoth(w.stateVals[s.DFFAt[p]])
 				} else {
-					v = o.dLine(t-1, int(s.DFFAt[p]))
+					v = fanin(t-1, p, 0)
 				}
 			default:
 				in := make([]V5, s.FaninOff[p+1]-s.FaninOff[p])
 				for pin := range in {
-					in[pin] = o.faninVal(t, p, pin)
+					in[pin] = fanin(t, p, pin)
 				}
 				v = evalGate5(kind, in)
 			}
@@ -153,7 +166,7 @@ func oracleOf(w *window) windowOracle {
 		}
 	}
 	if w.flt == nil {
-		return windowOracle{window: o}
+		return o
 	}
 	for t := range o.vals {
 		for _, p := range s.POPos {
@@ -171,34 +184,19 @@ func oracleOf(w *window) windowOracle {
 				continue
 			}
 			for pin := 0; pin < int(s.FaninOff[p+1]-s.FaninOff[p]); pin++ {
-				if o.faninVal(t, p, pin).isD() {
+				if fanin(t, p, pin).isD() {
 					o.frontier = append(o.frontier, frontierEntry{t, p})
 					break
 				}
 			}
 		}
 	}
-	o.lineGood = o.faultLineGoodRaw()
-	dLast := false
-	for i := range s.DFFPos {
-		dLast = dLast || o.dLine(w.k-1, i).isD()
+	pos, _ := w.excitationObjective()
+	o.lineGood = o.vals[0][pos].G
+	for _, q := range s.DFFPos {
+		o.dLast = o.dLast || fanin(w.k-1, int(q), 0).isD()
 	}
-	return windowOracle{window: o, dLast: dLast}
-}
-
-// TestIsDRailXor pins the identity the window's evaluator relies on to
-// collect D-visibility in its fanin walk: over all nine rail pairs of
-// the 0/1/X encoding, G^F == 1 exactly when the pair is D or D-bar.
-func TestIsDRailXor(t *testing.T) {
-	vals := []sim.Val{sim.V0, sim.V1, sim.VX}
-	for _, g := range vals {
-		for _, f := range vals {
-			v := V5{g, f}
-			if got := v.G^v.F == 1; got != v.isD() {
-				t.Errorf("V5{%v, %v}: G^F == 1 is %v, isD is %v", g, f, got, v.isD())
-			}
-		}
-	}
+	return o
 }
 
 // traceOp is one PODEM-style probe: assign or retract one pseudo-input.

@@ -73,7 +73,7 @@ func TestWindowStemInjectionAndPropagation(t *testing.T) {
 	if !w.detectedAtPO() {
 		t.Fatal("fault effect should reach the PO in frame 1")
 	}
-	if !w.vals[1][w.s.Pos[6]].isD() { // the Output gate
+	if !w.val(1, int(w.s.Pos[6])).isD() { // the Output gate
 		t.Error("PO value should be a fault effect")
 	}
 }
@@ -88,11 +88,11 @@ func TestWindowBranchInjection(t *testing.T) {
 	w.stateVals[0] = sim.V0
 	w.simulate()
 	// The AND output itself becomes D (good 1, faulty 0).
-	if !w.vals[0][w.s.Pos[3]].isD() {
+	if !w.val(0, int(w.s.Pos[3])).isD() {
 		t.Error("branch fault must develop at the gate output")
 	}
 	// But the source gate (the input) is unaffected.
-	if w.vals[0][w.s.Pos[1]].isD() {
+	if w.val(0, int(w.s.Pos[1])).isD() {
 		t.Error("branch fault must not corrupt the stem")
 	}
 }

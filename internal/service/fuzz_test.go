@@ -29,6 +29,9 @@ func FuzzSpec(f *testing.F) {
 	f.Add([]byte(`{"netlist":"INPUT(a)\nOUTPUT(z)\nz = DFF(a)\n","shard":{"index":0,"count":17179869184}}`))
 	// Retry counts past MaxRetries: rejected before any pass runs.
 	f.Add([]byte(`{"netlist":"INPUT(a)\nOUTPUT(z)\nz = DFF(a)\n","retries":1000000}`))
+	// Reset prefixes past MaxFlushCycles: rejected before the engine
+	// simulates a single cycle.
+	f.Add([]byte(`{"netlist":"INPUT(a)\nOUTPUT(z)\nz = DFF(a)\n","flush_cycles":1000000000}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
@@ -43,8 +46,13 @@ func FuzzSpec(f *testing.F) {
 		}
 		var spec Spec
 		if json.Unmarshal(data, &spec) == nil {
-			if p, err := Prepare(spec); err == nil && p.Campaign.Retries > MaxRetries {
-				t.Fatalf("Prepare accepted retries=%d past MaxRetries", p.Campaign.Retries)
+			if p, err := Prepare(spec); err == nil {
+				if p.Campaign.Retries > MaxRetries {
+					t.Fatalf("Prepare accepted retries=%d past MaxRetries", p.Campaign.Retries)
+				}
+				if spec.FlushCycles < 0 || spec.FlushCycles > MaxFlushCycles {
+					t.Fatalf("Prepare accepted flush_cycles=%d outside [0, MaxFlushCycles]", spec.FlushCycles)
+				}
 			}
 		}
 		var tf terminalFile

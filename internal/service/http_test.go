@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -417,16 +418,38 @@ func TestRetriesCap(t *testing.T) {
 	if _, err := Prepare(Spec{Netlist: text, Retries: MaxRetries}); err != nil {
 		t.Fatalf("Prepare rejected retries at the cap: %v", err)
 	}
+	checkRejectedOverHTTP(t, text, "retries", 1_000_000)
+}
 
+// TestFlushCyclesCap: a reset prefix below zero or above MaxFlushCycles
+// is rejected the same way; MaxFlushCycles itself is accepted.
+func TestFlushCyclesCap(t *testing.T) {
+	text := benchText(t, 4, 3)
+	for _, n := range []int{-1, MaxFlushCycles + 1, 1_000_000_000} {
+		if _, err := Prepare(Spec{Netlist: text, FlushCycles: n}); err == nil {
+			t.Fatalf("Prepare accepted flush_cycles=%d", n)
+		}
+	}
+	if _, err := Prepare(Spec{Netlist: text, FlushCycles: MaxFlushCycles}); err != nil {
+		t.Fatalf("Prepare rejected flush_cycles at the cap: %v", err)
+	}
+	checkRejectedOverHTTP(t, text, "flush_cycles", 1_000_000_000)
+}
+
+// checkRejectedOverHTTP submits the netlist with one integer spec field
+// set to n and requires a 4xx, a server still healthy, and no job
+// persisted.
+func checkRejectedOverHTTP(t *testing.T, text, field string, n int) {
+	t.Helper()
 	srv, base := startHTTP(t, Options{Workers: 1})
-	body := `{"netlist":` + strconv.Quote(text) + `,"retries":1000000}`
+	body := fmt.Sprintf(`{"netlist":%s,%q:%d}`, strconv.Quote(text), field, n)
 	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
-		t.Fatalf("over-cap retries: status %d, want 4xx", resp.StatusCode)
+		t.Fatalf("%s %d: status %d, want 4xx", field, n, resp.StatusCode)
 	}
 	resp, err = http.Get(base + "/healthz")
 	if err != nil {

@@ -104,6 +104,8 @@ func TestPrepareValidatesSpec(t *testing.T) {
 		{"negative max faults", func(s *Spec) { s.MaxFaults = -4 }},
 		{"negative retries", func(s *Spec) { s.Retries = -1 }},
 		{"retries over the cap", func(s *Spec) { s.Retries = MaxRetries + 1 }},
+		{"negative flush cycles", func(s *Spec) { s.FlushCycles = -1 }},
+		{"flush cycles over the cap", func(s *Spec) { s.FlushCycles = MaxFlushCycles + 1 }},
 		{"negative budget", func(s *Spec) { s.FaultBudget = -1 }},
 	}
 	for _, tc := range cases {

@@ -48,7 +48,8 @@ type Spec struct {
 	// faults.
 	MaxFaults int `json:"max_faults,omitempty"`
 	// FlushCycles is the reset-hold prefix; zero measures it from the
-	// circuit (mandatory for retimed netlists, where it exceeds 1).
+	// circuit (mandatory for retimed netlists, where it exceeds 1), more
+	// than MaxFlushCycles is rejected.
 	FlushCycles int `json:"flush_cycles,omitempty"`
 	// Seed perturbs the engine's randomized phases.
 	Seed int64 `json:"seed,omitempty"`
@@ -85,6 +86,15 @@ const MaxShards = 256
 // count would let one request on all-aborting faults keep a worker busy
 // pass after pass, again on every start.
 const MaxRetries = 16
+
+// MaxFlushCycles caps Spec.FlushCycles. The engine simulates the whole
+// reset-hold prefix at start-up and again, as a window of that many
+// frames, for every fault, and a spec is persisted at submission and
+// re-run after a restart, so an unbounded prefix would let one request
+// stall a worker or exhaust its memory again on every start. A measured
+// prefix is bounded by the circuit (twice its DFF count plus four) and
+// is not capped.
+const MaxFlushCycles = 256
 
 // ShardSel names one shard of a deterministic fault partition (see
 // Plan). Coordinator and worker each derive the partition
@@ -175,6 +185,9 @@ func Prepare(spec Spec) (*Prepared, error) {
 	}
 	if spec.Retries < 0 || spec.Retries > MaxRetries {
 		return nil, fmt.Errorf("service: retries %d out of range [0, %d]", spec.Retries, MaxRetries)
+	}
+	if spec.FlushCycles < 0 || spec.FlushCycles > MaxFlushCycles {
+		return nil, fmt.Errorf("service: flush_cycles %d out of range [0, %d]", spec.FlushCycles, MaxFlushCycles)
 	}
 	if spec.MaxFaults < 0 {
 		return nil, fmt.Errorf("service: negative max_faults %d", spec.MaxFaults)
