@@ -610,8 +610,8 @@ func (e *Engine) justify(f *fault.Fault, faultyReset []V5, cube []sim.Val, depth
 	if compatible5(cube, faultyReset) {
 		return nil, true
 	}
-	fkey := ""
-	if f != nil {
+	fkey := "" // only the learning stores read it
+	if f != nil && e.cfg.Learning {
 		fkey = f.String() + "|"
 	}
 	shared := e.cfg.SharedLearning && f != nil

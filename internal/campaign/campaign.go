@@ -270,7 +270,12 @@ func Run(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, cfg Conf
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	fp := Fingerprint(c, cfg, faults)
+	// The fingerprint only guards checkpoints: without a path nothing
+	// reads it.
+	fp := ""
+	if cfg.CheckpointPath != "" {
+		fp = Fingerprint(c, cfg, faults)
+	}
 
 	var st *state
 	if cfg.Resume {

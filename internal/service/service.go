@@ -21,6 +21,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -164,6 +165,10 @@ type job struct {
 	// from builds without prediction.
 	costEstimate int64
 	maxFaultCost int64
+	// prepared is the executable form Submit built, held from a cold
+	// submission until a worker picks the job up; nil for memo hits and
+	// recovered jobs, which runJob prepares itself.
+	prepared *Prepared
 }
 
 // JobStatus is the externally visible snapshot of one job.
@@ -224,7 +229,13 @@ type Server struct {
 	// flight collapses concurrent runs of the same digest; only
 	// consulted when a result cache is configured.
 	flight rescache.Singleflight
+	// memo remembers what Submit needs from each distinct spec it has
+	// prepared, so a repeat submission skips circuit analysis.
+	memo specMemo
 
+	// testPrepares counts the Prepare calls this server makes (read by
+	// tests only).
+	testPrepares atomic.Int64
 	// testJobSettled, when set (tests only), fires after a job leaves
 	// the Running state for any reason.
 	testJobSettled func(id string, st State)
@@ -531,13 +542,24 @@ func (s *Server) observePrediction(j *job, sum *Summary) {
 // the job and enqueues it. The returned id is stable across restarts.
 // When the result cache holds the spec's digest, the job completes at
 // submission — it never occupies the queue or a worker, and a full
-// queue does not reject it.
+// queue does not reject it. A spec this server has already prepared
+// successfully is not prepared again: its digest and cost prediction
+// come from the spec memo.
 func (s *Server) Submit(spec Spec) (string, error) {
-	p, err := Prepare(spec)
-	if err != nil {
-		return "", err
+	var p *Prepared
+	key, memoable := specKey(spec)
+	facts, known := s.memo.get(key) // an unmemoable spec's zero key is never stored
+	if !known {
+		var err error
+		if p, err = s.prepare(spec); err != nil {
+			return "", err
+		}
+		facts = specFacts{digest: specDigest(spec, p), costEstimate: p.CostEstimate, maxFaultCost: p.MaxFaultCost}
+		if memoable {
+			s.memo.put(key, facts)
+		}
 	}
-	digest := specDigest(spec, p)
+	digest := facts.digest
 	var hit map[string][]byte
 	if s.opts.Cache != nil && digest != "" {
 		hit, _ = s.opts.Cache.Get(digest)
@@ -555,11 +577,11 @@ func (s *Server) Submit(spec Spec) (string, error) {
 	}
 	id := fmt.Sprintf("j%06d", s.seq)
 	j := &job{id: id, spec: spec, created: time.Now(), state: Queued, digest: digest,
-		costEstimate: p.CostEstimate, maxFaultCost: p.MaxFaultCost}
+		costEstimate: facts.costEstimate, maxFaultCost: facts.maxFaultCost}
 	j.logs.max = s.opts.LogTail
 	if err := s.writeJSON(filepath.Join(s.dir, id, "job.json"),
 		jobFile{ID: id, Spec: spec, Created: j.created, Digest: digest,
-			CostEstimate: p.CostEstimate, MaxFaultCost: p.MaxFaultCost}); err != nil {
+			CostEstimate: facts.costEstimate, MaxFaultCost: facts.maxFaultCost}); err != nil {
 		s.mu.Unlock()
 		return "", err
 	}
@@ -567,6 +589,7 @@ func (s *Server) Submit(spec Spec) (string, error) {
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	if hit == nil {
+		j.prepared = p
 		s.queue = append(s.queue, id)
 		s.cond.Signal()
 		s.mu.Unlock()
@@ -580,11 +603,79 @@ func (s *Server) Submit(spec Spec) (string, error) {
 		// failed) degrades to the cold path, never to a failed job.
 		s.logf("job %s: cached result unusable, queued for a cold run: %v", id, err)
 		s.mu.Lock()
+		j.prepared = p
 		s.queue = append(s.queue, id)
 		s.cond.Signal()
 		s.mu.Unlock()
 	}
 	return id, nil
+}
+
+// prepare is Prepare, counted for tests.
+func (s *Server) prepare(spec Spec) (*Prepared, error) {
+	s.testPrepares.Add(1)
+	return Prepare(spec)
+}
+
+// specMemoCap bounds the spec memo; past it the oldest entry goes.
+const specMemoCap = 1024
+
+// specFacts is what Submit needs from a Prepared: no circuit, no
+// fault list.
+type specFacts struct {
+	digest       string
+	costEstimate int64
+	maxFaultCost int64
+}
+
+// specMemo maps the key of every spec a server prepared successfully
+// to its facts, first in first out. Prepare is a pure function of the
+// Spec, so an entry stays valid for the server's lifetime; failures
+// are never stored, so an invalid spec is re-checked on every
+// submission.
+type specMemo struct {
+	mu    sync.Mutex
+	facts map[[sha256.Size]byte]specFacts
+	ring  [specMemoCap][sha256.Size]byte // keys in insertion order
+	next  int                            // ring slot of the oldest key once full
+}
+
+func (m *specMemo) get(key [sha256.Size]byte) (specFacts, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, ok := m.facts[key]
+	return f, ok
+}
+
+func (m *specMemo) put(key [sha256.Size]byte, f specFacts) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.facts == nil {
+		m.facts = map[[sha256.Size]byte]specFacts{}
+	}
+	if _, ok := m.facts[key]; ok {
+		return
+	}
+	if len(m.facts) == specMemoCap {
+		delete(m.facts, m.ring[m.next])
+	}
+	m.ring[m.next] = key
+	m.next = (m.next + 1) % specMemoCap
+	m.facts[key] = f
+}
+
+// specKey is the memo key of a spec: the SHA-256 of its JSON encoding,
+// which covers every field. Checkpoint-seeded specs are uncacheable
+// and never memoized (false).
+func specKey(spec Spec) ([sha256.Size]byte, bool) {
+	if len(spec.Checkpoint) > 0 {
+		return [sha256.Size]byte{}, false
+	}
+	data, err := json.Marshal(spec)
+	if err != nil {
+		return [sha256.Size]byte{}, false
+	}
+	return sha256.Sum256(data), true
 }
 
 // specDigest derives a submission's content address, or "" for
@@ -720,6 +811,7 @@ func (s *Server) Cancel(id string) error {
 	}
 	switch j.state {
 	case Queued:
+		j.prepared = nil
 		s.transitionLocked(j, Cancelled, "cancelled while queued")
 		s.mu.Unlock()
 		s.settled(j.id, Cancelled)
@@ -836,8 +928,10 @@ func (s *Server) worker() {
 		j.started = time.Now()
 		j.cancel = cancel
 		j.runs.Add(1)
+		p := j.prepared
+		j.prepared = nil
 		s.mu.Unlock()
-		s.runJob(ctx, j)
+		s.runJob(ctx, j, p)
 		cancel()
 	}
 }
@@ -847,8 +941,10 @@ func (s *Server) worker() {
 // hit completes the job without computing, and a digest already being
 // computed by another worker parks this job as a singleflight
 // follower — it re-enters the queue when the leader's flight ends and
-// then consumes the cached result.
-func (s *Server) runJob(ctx context.Context, j *job) {
+// then consumes the cached result. p is the job's Prepared when
+// Submit built one; otherwise the job is prepared here, so a cold run
+// prepares exactly once.
+func (s *Server) runJob(ctx context.Context, j *job, p *Prepared) {
 	if s.opts.Cache != nil && j.digest != "" {
 		if files, ok := s.opts.Cache.Get(j.digest); ok {
 			if err := s.installFromCache(j, files); err == nil {
@@ -869,10 +965,12 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		defer func() { s.requeue(s.flight.End(j.digest)) }()
 	}
 
-	p, err := Prepare(j.spec)
-	if err != nil {
-		s.finishJob(j, Failed, err.Error(), nil)
-		return
+	var err error
+	if p == nil {
+		if p, err = s.prepare(j.spec); err != nil {
+			s.finishJob(j, Failed, err.Error(), nil)
+			return
+		}
 	}
 	s.mu.Lock()
 	j.totalFaults = len(p.Faults)

@@ -175,7 +175,9 @@ type Prepared struct {
 	MaxFaultCost int64
 }
 
-// Prepare validates a Spec and builds its executable form.
+// Prepare validates a Spec and builds its executable form. It is a
+// pure function of the Spec, which is what lets a Server memoize the
+// facts of a successful call (see specMemo).
 func Prepare(spec Spec) (*Prepared, error) {
 	if strings.TrimSpace(spec.Netlist) == "" {
 		return nil, fmt.Errorf("service: empty netlist")
