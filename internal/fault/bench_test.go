@@ -96,7 +96,7 @@ func BenchmarkParallelFaultSim(b *testing.B) {
 
 // BenchmarkParallelFaultSimWorkers shows DetectsParallel scaling on the
 // same workload. Every worker count returns identical results; workers
-// are handed pre-partitioned contiguous batch ranges, so there is no
+// take batches one at a time from an atomic counter, so there is no
 // dispatch channel on the hot path. Scaling is bounded
 // by the host's real core count: on a single-CPU container every
 // worker count measures the same.
@@ -138,7 +138,7 @@ func BenchmarkActiveRegionVsOblivious(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			fs.FallbackEvals = tc.mode
+			fs.fallbackEvals = tc.mode
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := fs.Detects(seq, faults); err != nil {

@@ -130,19 +130,19 @@ func TestKernelDifferential(t *testing.T) {
 
 		// Fallback modes must not change results, only effort.
 		for _, mode := range []int{-1, 1} {
-			fs.FallbackEvals = mode
+			fs.fallbackEvals = mode
 			got, err := fs.Detects(seq, faults)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range got {
 				if got[i] != ref[i] {
-					t.Errorf("trial %d fault %v: FallbackEvals=%d gives %v, default gives %v",
+					t.Errorf("trial %d fault %v: fallbackEvals=%d gives %v, default gives %v",
 						trial, faults[i], mode, got[i], ref[i])
 				}
 			}
 		}
-		fs.FallbackEvals = 0
+		fs.fallbackEvals = 0
 
 		// Worker-count invariance: byte-identical for every count.
 		for _, workers := range []int{1, 2, 3, 8} {

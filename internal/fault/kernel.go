@@ -13,12 +13,15 @@ import (
 // good value, so bits 1–63 carry one fault each.
 const FaultsPerPass = 63
 
-// eq compares two words with one XOR/OR fold and one test. The kernel
-// compares words constantly (divergence from the good row is the
-// active-region test), and `==` on the struct, which compiles to two
-// compare-and-branch pairs, measured ~10% slower on
-// BenchmarkParallelFaultSim.
-func eq(a, b sim.PVal) bool { return (a.Zero^b.Zero)|(a.One^b.One) == 0 }
+// xor folds two words rail by rail: a faulty word and its broadcast
+// good value give the word's divergence, and back again.
+func xor(a, b sim.PVal) sim.PVal { return sim.PVal{Zero: a.Zero ^ b.Zero, One: a.One ^ b.One} }
+
+// at is position q's faulty word for the current frame: the broadcast
+// good value with the batch's divergence folded back in.
+func at(row []sim.Val, diff []sim.PVal, q int32) sim.PVal {
+	return xor(pconstTab[row[q]&3], diff[q])
+}
 
 // injection describes where a batch member's fault manifests.
 type injection struct {
@@ -33,14 +36,17 @@ type injection struct {
 // is O(batch), not O(gates). Workers each hold their own arena from
 // the simulator's pool.
 //
-// The kernel's core invariant: at every point inside a frame, vals[p]
-// is the position's word for that frame if it has been evaluated, and
-// the good row value otherwise. Event frames restore the invariant at
-// the frame boundary by repairing just the touched positions with the
-// next frame's good row; frames finished by an oblivious sweep repair
-// with one bulk copy. Reads therefore never need a liveness check.
+// The arena stores divergence only: diff[p] is the position's faulty
+// word XOR its broadcast good value, so it is zero outside the active
+// region, and a read is at(row, diff, p). The kernel's core invariant:
+// diff is all zero at every frame boundary, and inside a frame it is
+// nonzero only at positions evaluated this frame. Event frames restore
+// it by zeroing just the touched positions, frames finished by an
+// oblivious sweep by one clear. A batch that ends (early exit
+// included) leaves diff zero, so the next batch starts without a fill,
+// and the good rows change under it for free.
 type batchCtx struct {
-	vals     []sim.PVal
+	diff     []sim.PVal
 	touched  []int32 // positions stored by the current event frame
 	state    []sim.PVal
 	inject   [][]injection // position -> live injections (empty off-site)
@@ -62,7 +68,7 @@ func (fs *Simulator) getBatchCtx() *batchCtx {
 	}
 	n := fs.soa.NumGates()
 	return &batchCtx{
-		vals:   make([]sim.PVal, n),
+		diff:   make([]sim.PVal, n),
 		state:  make([]sim.PVal, fs.soa.NumDFFs()),
 		inject: make([][]injection, n),
 		seed:   make([]uint64, (n+63)/64),
@@ -89,7 +95,8 @@ func (fs *Simulator) putBatchCtx(bc *batchCtx) {
 // the shared good rows. Bit i+1 of every word carries faults[i]; a gate
 // enters the batch's active region the first frame its word diverges
 // from the good row value. The arena's injection tables are cleared on
-// return (O(batch)) so it can serve the next batch.
+// return (O(batch)), and its diff row is left zero, so it can serve the
+// next batch.
 func runBatch(fs *Simulator, bc *batchCtx, frames int, faults []Fault, detected []bool) {
 	bc.nbatches++
 	for i := range faults {
@@ -120,13 +127,6 @@ func runBatch(fs *Simulator, bc *batchCtx, frames int, faults []Fault, detected 
 	}
 	threshold := fs.fallbackThreshold()
 
-	// Establish the frame invariant for t = 0: every position holds its
-	// good row value until an evaluation stores a diverged one.
-	bc.touched = bc.touched[:0]
-	if frames > 0 {
-		copy(bc.vals, fs.goodRows[0])
-	}
-
 	// dense remembers that the previous frame's activity exceeded the
 	// threshold: the next frame then skips event scheduling entirely and
 	// runs the tight full-frame sweep, returning to event mode once the
@@ -148,7 +148,7 @@ func runBatch(fs *Simulator, bc *batchCtx, frames int, faults []Fault, detected 
 			// good state.
 			copy(bc.pend, bc.seed)
 			for i, p := range fs.soa.DFFPos {
-				if !eq(state[i], row[p]) {
+				if state[i] != pconstTab[row[p]&3] {
 					bc.pend[p>>6] |= 1 << (uint32(p) & 63)
 				}
 			}
@@ -156,7 +156,7 @@ func runBatch(fs *Simulator, bc *batchCtx, frames int, faults []Fault, detected 
 			// common event — a combinational gate with no injection — is
 			// handled inline over hoisted locals; only injection sites and
 			// the register/input loads take the generic evalPos call.
-			vals, pend, inject := bc.vals, bc.pend, bc.inject
+			diff, pend, inject := bc.diff, bc.pend, bc.inject
 			kinds := fs.soa.Kind
 			fout, foutOff := fs.soa.Fout, fs.soa.FoutOff
 			evals, events := 0, 0
@@ -169,9 +169,9 @@ func runBatch(fs *Simulator, bc *batchCtx, frames int, faults []Fault, detected 
 					if evals >= threshold {
 						// Too active: finish the frame obliviously from
 						// here. Everything before position p is final —
-						// evaluated, or holding its good row value by the
-						// frame invariant — so a plain in-order sweep over
-						// the tail is exact.
+						// evaluated, or at its good value by the frame
+						// invariant — so a plain in-order sweep over the
+						// tail is exact.
 						for j := wi; j < len(pend); j++ {
 							pend[j] = 0
 						}
@@ -185,9 +185,11 @@ func runBatch(fs *Simulator, bc *batchCtx, frames int, faults []Fault, detected 
 					events++
 					if kind := kinds[p]; len(inject[p]) == 0 && kind >= netlist.Output && kind <= netlist.Xnor {
 						evals++
-						w := foldVals(fs, bc, p, kind)
-						if !eq(w, vals[p]) {
-							vals[p] = w
+						// A position is evaluated at most once per frame
+						// (fanouts sit at later positions), so its diff is
+						// still zero here.
+						if d := xor(foldVals(fs, bc, p, kind, row), pconstTab[row[p]&3]); d.Zero|d.One != 0 {
+							diff[p] = d
 							bc.touched = append(bc.touched, int32(p))
 							for _, o := range fout[foutOff[p]:foutOff[p+1]] {
 								pend[o>>6] |= 1 << (uint32(o) & 63)
@@ -203,15 +205,15 @@ func runBatch(fs *Simulator, bc *batchCtx, frames int, faults []Fault, detected 
 		}
 
 		// Word-level detection: good binary, faulty binary, different.
-		// The good row tells binary-ness in one compare per output; an
-		// inactive output still holds the good row value, contributing
-		// nothing.
+		// Against a binary good value the divergence's opposite rail is
+		// exactly the faulty bits at the other binary value; an inactive
+		// output has no divergence, contributing nothing.
 		for _, p := range fs.soa.POPos {
-			switch g := row[p]; {
-			case g.Zero == ^uint64(0):
-				det |= bc.vals[p].One & full
-			case g.One == ^uint64(0):
-				det |= bc.vals[p].Zero & full
+			switch row[p] {
+			case sim.V0:
+				det |= bc.diff[p].One & full
+			case sim.V1:
+				det |= bc.diff[p].Zero & full
 			}
 		}
 
@@ -219,6 +221,7 @@ func runBatch(fs *Simulator, bc *batchCtx, frames int, faults []Fault, detected 
 			if t+1 < frames {
 				bc.earlyExits++
 			}
+			bc.endFrame(sweptAll)
 			break
 		}
 
@@ -261,38 +264,19 @@ func runBatch(fs *Simulator, bc *batchCtx, frames int, faults []Fault, detected 
 		// (or a branch fault on its D input) pins the next Q value.
 		// Detected bits are forced back to the good next state.
 		for i, dp := range fs.soa.DFFD {
-			w := bc.vals[dp]
+			w := at(row, bc.diff, dp)
 			for _, inj := range bc.inject[fs.soa.DFFPos[i]] {
 				if inj.pin <= 0 {
 					w.Set(uint(inj.bit), inj.sa)
 				}
 			}
-			g := row[dp]
+			g := pconstTab[row[dp]&3]
 			w.Zero = w.Zero&^dropped | g.Zero&dropped
 			w.One = w.One&^dropped | g.One&dropped
 			state[i] = w
 		}
 
-		// Restore the frame invariant for the next frame: positions this
-		// frame diverged, and positions whose good value changes between
-		// the frames, get the next good row; everything else already holds
-		// it. Swept frames skip the bookkeeping with one bulk copy.
-		if t+1 < frames {
-			next := fs.goodRows[t+1]
-			// Past about half the circuit, one bulk memmove beats the
-			// scattered per-position stores.
-			if sweptAll || len(bc.touched)+len(fs.gDelta[t+1]) > len(next)/2 {
-				copy(bc.vals, next)
-			} else {
-				for _, q := range bc.touched {
-					bc.vals[q] = next[q]
-				}
-				for _, q := range fs.gDelta[t+1] {
-					bc.vals[q] = next[q]
-				}
-			}
-		}
-		bc.touched = bc.touched[:0]
+		bc.endFrame(sweptAll)
 	}
 	for i := range faults {
 		detected[i] = det>>uint(i+1)&1 == 1
@@ -302,6 +286,20 @@ func runBatch(fs *Simulator, bc *batchCtx, frames int, faults []Fault, detected 
 		bc.inject[p] = bc.inject[p][:0]
 	}
 	bc.injSites = bc.injSites[:0]
+}
+
+// endFrame restores the frame invariant: diff all zero. An event frame
+// zeroes just the positions it touched; a frame finished by a sweep,
+// which stores every position past its start, clears the whole arena.
+func (bc *batchCtx) endFrame(swept bool) {
+	if swept {
+		clear(bc.diff)
+	} else {
+		for _, q := range bc.touched {
+			bc.diff[q] = sim.PVal{}
+		}
+	}
+	bc.touched = bc.touched[:0]
 }
 
 // sweepFrom evaluates every position in [from, len) in topological
@@ -318,8 +316,8 @@ func runBatch(fs *Simulator, bc *batchCtx, frames int, faults []Fault, detected 
 // to event mode.
 //
 // The two-rail folds mirror foldVals (and sim.EvalGateP) exactly.
-func sweepFrom(fs *Simulator, bc *batchCtx, row []sim.PVal, from int) (active int) {
-	vals := bc.vals
+func sweepFrom(fs *Simulator, bc *batchCtx, row []sim.Val, from int) (active int) {
+	diff := bc.diff
 	kinds, faninOff, fan := fs.soa.Kind, fs.soa.FaninOff, fs.soa.Fanin
 	n0 := 0
 	for n0 < len(bc.sites) && int(bc.sites[n0]) < from {
@@ -333,23 +331,18 @@ func sweepFrom(fs *Simulator, bc *batchCtx, row []sim.PVal, from int) (active in
 		}
 		for p := start; p < stop; p++ {
 			kind := kinds[p]
-			var w sim.PVal
 			off, end := faninOff[p], faninOff[p+1]
 			if off == end {
-				switch kind {
-				case netlist.Input:
-					w = row[p]
-				default:
-					w = sim.EvalGateP(kind, nil) // Const0/Const1 (or a degenerate gate)
-				}
-				vals[p] = w
-				continue // equal to good by construction
+				// Input or constant: equal to good by construction, and
+				// its diff is still zero (nothing past from has been
+				// stored this frame).
+				continue
 			}
-			w = vals[fan[off]]
+			w := at(row, diff, fan[off])
 			switch kind {
 			case netlist.And, netlist.Nand:
 				for k := off + 1; k < end; k++ {
-					b := &vals[fan[k]]
+					b := at(row, diff, fan[k])
 					w.Zero |= b.Zero
 					w.One &= b.One
 				}
@@ -358,7 +351,7 @@ func sweepFrom(fs *Simulator, bc *batchCtx, row []sim.PVal, from int) (active in
 				}
 			case netlist.Or, netlist.Nor:
 				for k := off + 1; k < end; k++ {
-					b := &vals[fan[k]]
+					b := at(row, diff, fan[k])
 					w.Zero &= b.Zero
 					w.One |= b.One
 				}
@@ -367,7 +360,7 @@ func sweepFrom(fs *Simulator, bc *batchCtx, row []sim.PVal, from int) (active in
 				}
 			case netlist.Xor, netlist.Xnor:
 				for k := off + 1; k < end; k++ {
-					b := &vals[fan[k]]
+					b := at(row, diff, fan[k])
 					known := (w.Zero | w.One) & (b.Zero | b.One)
 					ones := (w.One & b.Zero) | (w.Zero & b.One)
 					w.Zero = known &^ ones
@@ -385,12 +378,13 @@ func sweepFrom(fs *Simulator, bc *batchCtx, row []sim.PVal, from int) (active in
 			default:
 				in := bc.faninBuf[:end-off]
 				for k := off; k < end; k++ {
-					in[k-off] = vals[fan[k]]
+					in[k-off] = at(row, diff, fan[k])
 				}
 				w = sim.EvalGateP(kind, in)
 			}
-			vals[p] = w
-			if !eq(w, row[p]) {
+			d := xor(w, pconstTab[row[p]&3])
+			diff[p] = d
+			if d.Zero|d.One != 0 {
 				active++
 			}
 		}
@@ -399,7 +393,7 @@ func sweepFrom(fs *Simulator, bc *batchCtx, row []sim.PVal, from int) (active in
 			// mode (store unconditionally, schedule nothing).
 			p := int(bc.sites[n])
 			evalPos(fs, bc, p, row, true)
-			if !eq(bc.vals[p], row[p]) {
+			if d := diff[p]; d.Zero|d.One != 0 {
 				active++
 			}
 		}
@@ -408,20 +402,20 @@ func sweepFrom(fs *Simulator, bc *batchCtx, row []sim.PVal, from int) (active in
 	return active
 }
 
-// foldVals is the no-injection combinational fold over bc.vals, for
-// event positions whose fanins are all current; it mirrors the sweep
-// hot loop (and sim.EvalGateP) exactly.
-func foldVals(fs *Simulator, bc *batchCtx, p int, kind netlist.GateType) sim.PVal {
-	vals, fan := bc.vals, fs.soa.Fanin
+// foldVals is the no-injection combinational fold over the frame's
+// words, for event positions whose fanins are all current; it mirrors
+// the sweep hot loop (and sim.EvalGateP) exactly.
+func foldVals(fs *Simulator, bc *batchCtx, p int, kind netlist.GateType, row []sim.Val) sim.PVal {
+	diff, fan := bc.diff, fs.soa.Fanin
 	off, end := fs.soa.FaninOff[p], fs.soa.FaninOff[p+1]
 	if off == end {
 		return sim.EvalGateP(kind, nil)
 	}
-	w := vals[fan[off]]
+	w := at(row, diff, fan[off])
 	switch kind {
 	case netlist.And, netlist.Nand:
 		for k := off + 1; k < end; k++ {
-			b := &vals[fan[k]]
+			b := at(row, diff, fan[k])
 			w.Zero |= b.Zero
 			w.One &= b.One
 		}
@@ -430,7 +424,7 @@ func foldVals(fs *Simulator, bc *batchCtx, p int, kind netlist.GateType) sim.PVa
 		}
 	case netlist.Or, netlist.Nor:
 		for k := off + 1; k < end; k++ {
-			b := &vals[fan[k]]
+			b := at(row, diff, fan[k])
 			w.Zero &= b.Zero
 			w.One |= b.One
 		}
@@ -439,7 +433,7 @@ func foldVals(fs *Simulator, bc *batchCtx, p int, kind netlist.GateType) sim.PVa
 		}
 	case netlist.Xor, netlist.Xnor:
 		for k := off + 1; k < end; k++ {
-			b := &vals[fan[k]]
+			b := at(row, diff, fan[k])
 			known := (w.Zero | w.One) & (b.Zero | b.One)
 			ones := (w.One & b.Zero) | (w.Zero & b.One)
 			w.Zero = known &^ ones
@@ -455,7 +449,7 @@ func foldVals(fs *Simulator, bc *batchCtx, p int, kind netlist.GateType) sim.PVa
 	default:
 		in := bc.faninBuf[:end-off]
 		for k := off; k < end; k++ {
-			in[k-off] = vals[fan[k]]
+			in[k-off] = at(row, diff, fan[k])
 		}
 		w = sim.EvalGateP(kind, in)
 	}
@@ -463,32 +457,32 @@ func foldVals(fs *Simulator, bc *batchCtx, p int, kind netlist.GateType) sim.PVa
 }
 
 // evalPos computes one position's word for the current frame — reading
-// fanins straight out of bc.vals, which the frame invariant keeps
-// current — and, when it diverges from the position's present value,
-// stores it, records the position as touched, and (in event mode)
-// schedules the combinational fanouts. In oblivious mode the word is
-// always stored and nothing is scheduled — the caller sweeps every
-// remaining position in topological order anyway. The return value
-// reports whether a parallel gate evaluation was performed (false for
+// fanins through the frame invariant, which keeps them current — and,
+// when it diverges from the good value, stores the divergence, records
+// the position as touched, and (in event mode) schedules the
+// combinational fanouts. In oblivious mode the divergence is always
+// stored and nothing is scheduled — the caller sweeps every remaining
+// position in topological order anyway. The return value reports
+// whether a parallel gate evaluation was performed (false for
 // Input/DFF loads, which the oblivious kernel never counted).
 //
 // Gates carrying a branch fault take the generic gather +
 // sim.EvalGateP path so the input-pin faults apply in one place.
-func evalPos(fs *Simulator, bc *batchCtx, p int, row []sim.PVal, oblivious bool) bool {
+func evalPos(fs *Simulator, bc *batchCtx, p int, row []sim.Val, oblivious bool) bool {
 	kind := fs.soa.Kind[p]
 	injs := bc.inject[p]
 	var w sim.PVal
 	evaluated := false
 	switch {
 	case kind == netlist.Input:
-		w = row[p]
+		w = pconstTab[row[p]&3]
 	case kind == netlist.DFF:
 		w = bc.state[fs.soa.DFFAt[p]]
 	case len(injs) != 0:
 		// Injection site. Stem-only sites (the common case) fold
-		// straight over bc.vals like any other gate — the stem bits are
-		// patched onto the result below. Only branch (input-pin) faults
-		// need the gather-and-patch path.
+		// straight over the frame's words like any other gate — the
+		// stem bits are patched onto the result below. Only branch
+		// (input-pin) faults need the gather-and-patch path.
 		evaluated = true
 		branch := false
 		for _, inj := range injs {
@@ -498,13 +492,13 @@ func evalPos(fs *Simulator, bc *batchCtx, p int, row []sim.PVal, oblivious bool)
 			}
 		}
 		if !branch {
-			w = foldVals(fs, bc, p, kind)
+			w = foldVals(fs, bc, p, kind, row)
 			break
 		}
 		off, end := fs.soa.FaninOff[p], fs.soa.FaninOff[p+1]
 		in := bc.faninBuf[:end-off]
 		for k := off; k < end; k++ {
-			in[k-off] = bc.vals[fs.soa.Fanin[k]]
+			in[k-off] = at(row, bc.diff, fs.soa.Fanin[k])
 		}
 		for _, inj := range injs {
 			if inj.pin >= 0 {
@@ -514,7 +508,7 @@ func evalPos(fs *Simulator, bc *batchCtx, p int, row []sim.PVal, oblivious bool)
 		w = sim.EvalGateP(kind, in)
 	default:
 		evaluated = true
-		w = foldVals(fs, bc, p, kind)
+		w = foldVals(fs, bc, p, kind, row)
 	}
 	// Stem fault injection on the gate output.
 	for _, inj := range injs {
@@ -522,12 +516,14 @@ func evalPos(fs *Simulator, bc *batchCtx, p int, row []sim.PVal, oblivious bool)
 			w.Set(uint(inj.bit), inj.sa)
 		}
 	}
+	d := xor(w, pconstTab[row[p]&3])
 	if oblivious {
-		bc.vals[p] = w
+		bc.diff[p] = d
 		return evaluated
 	}
-	if !eq(w, bc.vals[p]) {
-		bc.vals[p] = w
+	// Evaluated at most once per frame, so diff[p] is still zero.
+	if d.Zero|d.One != 0 {
+		bc.diff[p] = d
 		bc.touched = append(bc.touched, int32(p))
 		for _, o := range fs.soa.Fout[fs.soa.FoutOff[p]:fs.soa.FoutOff[p+1]] {
 			bc.pend[o>>6] |= 1 << (uint32(o) & 63)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"seqatpg/internal/sim"
 )
 
 // TestWidthWorkerMatrix sweeps the kernel configuration space —
@@ -36,7 +38,7 @@ func TestWidthWorkerMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fb := range []int{0, -1, 1} {
-			fs.FallbackEvals = fb
+			fs.fallbackEvals = fb
 			var want Stats
 			for wi, workers := range []int{1, 2, 3, 8} {
 				fs.ResetStats()
@@ -64,7 +66,7 @@ func TestWidthWorkerMatrix(t *testing.T) {
 				}
 			}
 		}
-		fs.FallbackEvals = 0
+		fs.fallbackEvals = 0
 	}
 }
 
@@ -116,9 +118,13 @@ func TestArenaReuseAcrossPasses(t *testing.T) {
 }
 
 // TestBatchArenaResets white-boxes the arena contract: after runBatch
-// the per-batch tables are empty and the pend bitset fully drained, and
-// releasing the arena zeroes its locally accumulated counters (they
-// have been merged into the simulator's stats).
+// the per-batch tables are empty, the pend bitset fully drained and
+// every diff word zero — the next batch starts without a fill, so a
+// stale divergence would corrupt it — and releasing the arena zeroes
+// its locally accumulated counters (they have been merged into the
+// simulator's stats). The diff check covers the three ways a batch
+// ends: at the sequence end, by early exit once every fault is
+// detected, and with its frames finished by the oblivious sweep.
 func TestBatchArenaResets(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := randomDiffCircuit(t, rng, 3500)
@@ -135,20 +141,10 @@ func TestBatchArenaResets(t *testing.T) {
 	n := min(len(faults), FaultsPerPass)
 	detected := make([]bool, n)
 	runBatch(fs, bc, len(seq), faults[:n], detected)
-	if len(bc.injSites) != 0 || len(bc.touched) != 0 {
-		t.Fatalf("arena tables not reset: %d injSites, %d touched",
-			len(bc.injSites), len(bc.touched))
+	if bc.frames != int64(len(seq)) || bc.earlyExits != 0 {
+		t.Fatalf("sequence-end batch ran %d of %d frames (%d early exits)", bc.frames, len(seq), bc.earlyExits)
 	}
-	for p, injs := range bc.inject {
-		if len(injs) != 0 {
-			t.Fatalf("inject table at position %d not cleared: %d entries", p, len(injs))
-		}
-	}
-	for i, w := range bc.pend {
-		if w != 0 {
-			t.Fatalf("pend word %d not drained: %#x", i, w)
-		}
-	}
+	assertArenaReset(t, "sequence end", bc)
 	if bc.nbatches != 1 {
 		t.Fatalf("arena ran %d batches, want 1", bc.nbatches)
 	}
@@ -170,6 +166,68 @@ func TestBatchArenaResets(t *testing.T) {
 	for i := range detected {
 		if detected[i] != detected2[i] {
 			t.Fatalf("fault %v: first pass %v, pooled rerun %v", faults[i], detected[i], detected2[i])
+		}
+	}
+
+	// Early exit: faults the sequence detects, graded against the
+	// sequence with two more vectors, are all detected before its end.
+	all, err := fs.Detects(seq, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var caught []Fault
+	for i, d := range all {
+		if d && len(caught) < FaultsPerPass {
+			caught = append(caught, faults[i])
+		}
+	}
+	long := append(append([][]sim.Val{}, seq...), randomXSeq(rng, len(c.PIs), 2, 0.2)...)
+	if err := fs.simulateGood(long); err != nil {
+		t.Fatal(err)
+	}
+	bc = fs.getBatchCtx()
+	runBatch(fs, bc, len(long), caught, make([]bool, len(caught)))
+	if bc.earlyExits != 1 {
+		t.Fatalf("%d early exits on an all-detected batch, want 1", bc.earlyExits)
+	}
+	assertArenaReset(t, "early exit", bc)
+	fs.putBatchCtx(bc)
+
+	// Threshold 1: every frame trips the fallback, and later frames
+	// run as full sweeps.
+	fs.fallbackEvals = 1
+	defer func() { fs.fallbackEvals = 0 }()
+	bc = fs.getBatchCtx()
+	runBatch(fs, bc, len(long), faults[:n], make([]bool, n))
+	if bc.fallbacks == 0 {
+		t.Fatal("threshold 1 batch never fell back")
+	}
+	assertArenaReset(t, "fallback sweep", bc)
+	fs.putBatchCtx(bc)
+}
+
+// assertArenaReset checks the state an arena must be in between
+// batches: no divergence, no injections, no touched positions and no
+// pending events.
+func assertArenaReset(t *testing.T, name string, bc *batchCtx) {
+	t.Helper()
+	for p, d := range bc.diff {
+		if d != (sim.PVal{}) {
+			t.Fatalf("%s: diff at position %d not zero: %+v", name, p, d)
+		}
+	}
+	if len(bc.injSites) != 0 || len(bc.touched) != 0 {
+		t.Fatalf("%s: arena tables not reset: %d injSites, %d touched",
+			name, len(bc.injSites), len(bc.touched))
+	}
+	for p, injs := range bc.inject {
+		if len(injs) != 0 {
+			t.Fatalf("%s: inject table at position %d not cleared: %d entries", name, p, len(injs))
+		}
+	}
+	for i, w := range bc.pend {
+		if w != 0 {
+			t.Fatalf("%s: pend word %d not drained: %#x", name, i, w)
 		}
 	}
 }

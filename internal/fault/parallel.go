@@ -3,22 +3,22 @@ package fault
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"seqatpg/internal/sim"
 )
 
 // DetectsParallel is Detects with the batches fanned out over a
 // bounded worker pool. The good circuit is still simulated exactly
-// once; workers are handed pre-partitioned contiguous batch ranges —
-// one range per worker, no shared dispatch channel — and each writes a
-// disjoint slice of the result, so the detected slice is
-// byte-identical to the serial Detects for every worker count. Worker
-// scheduling can reorder only the activity counters' accumulation, and
-// those are order-independent sums, merged once per worker.
-//
-// Contiguous ranges also preserve the fault-ordering locality the
-// active region feeds on (CollapsedUniverse emits faults gate by gate),
-// where round-robin or stealing would interleave unrelated cones.
+// once; workers take the next batch index from one atomic counter, so
+// a worker that drew cheap batches keeps drawing instead of idling
+// while another finishes an expensive range. Batch composition is
+// fixed by the fault order — the locality the active region feeds on
+// lives inside a batch — and each batch writes a disjoint slice of the
+// result, so the detected slice is byte-identical to the serial
+// Detects for every worker count. Worker scheduling can reorder only
+// the activity counters' accumulation, and those are order-independent
+// sums, merged once per worker.
 //
 // workers <= 1 (or a single batch) runs serially on the caller's
 // goroutine. A non-nil context error cancels the remaining batches —
@@ -49,36 +49,40 @@ func (fs *Simulator) detects(ctx context.Context, seq [][]sim.Val, faults []Faul
 	return detected, nil
 }
 
-// runAll partitions the batch index space [0, nBatches) into one
-// contiguous span per worker. Each worker owns its arena for the whole
-// call (counters merge once, on release) and reports into its own error
-// slot — no channels, no shared mutable state beyond the final atomic
-// stats merge.
+// runAll hands the batch indices [0, nBatches) out one at a time
+// through a shared atomic counter. Each worker owns its arena for the
+// whole call (counters merge once, on release) and reports into its own
+// error slot — no channels, no shared mutable state beyond the counter
+// and the final atomic stats merge.
 func (fs *Simulator) runAll(ctx context.Context, seq [][]sim.Val, faults []Fault, detected []bool, workers int) error {
 	nBatches := (len(faults) + FaultsPerPass - 1) / FaultsPerPass
-	if workers > nBatches {
-		workers = nBatches
-	}
-	if workers <= 1 {
+	workers = max(1, min(workers, nBatches))
+	var next atomic.Int64
+	errs := make([]error, workers)
+	work := func(w int) {
 		bc := fs.getBatchCtx()
 		defer fs.putBatchCtx(bc)
-		return fs.runRange(bc, ctx, seq, faults, detected, 0, nBatches)
+		for b := int(next.Add(1) - 1); b < nBatches; b = int(next.Add(1) - 1) {
+			if ctx != nil {
+				if errs[w] = ctx.Err(); errs[w] != nil {
+					return
+				}
+			}
+			start := b * FaultsPerPass
+			end := min(start+FaultsPerPass, len(faults))
+			runBatch(fs, bc, len(seq), faults[start:end], detected[start:end])
+		}
 	}
-	span := (nBatches + workers - 1) / workers
-	errs := make([]error, workers)
+	if workers == 1 {
+		work(0)
+		return errs[0]
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo := w * span
-		hi := min(lo+span, nBatches)
-		if lo >= hi {
-			break
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bc := fs.getBatchCtx()
-			defer fs.putBatchCtx(bc)
-			errs[w] = fs.runRange(bc, ctx, seq, faults, detected, lo, hi)
+			work(w)
 		}()
 	}
 	wg.Wait()
@@ -86,22 +90,6 @@ func (fs *Simulator) runAll(ctx context.Context, seq [][]sim.Val, faults []Fault
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// runRange simulates batches [lo, hi), checking for cancellation
-// between batches.
-func (fs *Simulator) runRange(bc *batchCtx, ctx context.Context, seq [][]sim.Val, faults []Fault, detected []bool, lo, hi int) error {
-	for b := lo; b < hi; b++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		start := b * FaultsPerPass
-		end := min(start+FaultsPerPass, len(faults))
-		runBatch(fs, bc, len(seq), faults[start:end], detected[start:end])
 	}
 	return nil
 }

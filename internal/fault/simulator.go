@@ -23,12 +23,13 @@ import (
 //
 //   - the good circuit is simulated once per sequence with an
 //     event-driven scheduler and its per-frame values are shared,
-//     read-only, by every batch;
-//   - each batch evaluates only its active region — gates whose
-//     parallel word differs from the broadcast good value — via
-//     an event queue seeded at the injection sites and at flip-flops
-//     whose faulty state diverged, falling back to oblivious in-order
-//     evaluation when a frame's activity exceeds FallbackEvals;
+//     read-only, by every batch, one byte per position per frame;
+//   - each batch stores only its divergence from the broadcast good
+//     value and evaluates only its active region — gates whose
+//     divergence is nonzero — via an event queue seeded at the
+//     injection sites and at flip-flops whose faulty state diverged,
+//     falling back to oblivious in-order evaluation when a frame's
+//     activity exceeds the fallback threshold;
 //   - detection is word-level: one mask accumulation per primary
 //     output per frame instead of per-fault bit probes, and a batch
 //     terminates early once every fault in it is detected.
@@ -38,7 +39,8 @@ import (
 // CSR as flat position-indexed slices, so both the event scheduler and
 // the oblivious sweep stream through memory instead of chasing
 // per-gate pointers. Per-batch mutable state lives in pooled arenas
-// (batchCtx) that reset in O(batch) between passes.
+// (batchCtx) that reset in O(batch) between passes and in O(touched)
+// between frames.
 //
 // A Simulator may not run two Detects* calls concurrently (the good
 // values are shared scratch state), but DetectsParallel itself fans the
@@ -47,26 +49,22 @@ type Simulator struct {
 	c   *netlist.Circuit
 	soa *netlist.SoA
 
-	// FallbackEvals is the per-frame gate-evaluation threshold beyond
+	// fallbackEvals is the per-frame gate-evaluation threshold beyond
 	// which a batch finishes the frame with oblivious in-order
 	// evaluation instead of event scheduling. Zero selects the default
 	// (three quarters of the oblivious per-frame evaluation count —
 	// measured near-optimal across circuit sizes, since an event
 	// evaluation costs only a little more than a sweep slot); negative
-	// disables the fallback. Set before simulating; it must not change
-	// while a Detects* call is running.
-	FallbackEvals int
+	// disables the fallback. Only the package's tests and benchmarks set
+	// it (never-fallback and always-oblivious modes).
+	fallbackEvals int
 
-	// Good-circuit values per frame of the current sequence as
-	// broadcast words, shared read-only across batches: the source of a
-	// batch's frame fills and repairs, and the reference its divergence
-	// compares run against. gDelta[t] lists the positions whose good
-	// value changed from frame t-1 to t — the positions a batch must
-	// refresh at the frame boundary to keep its vals invariant.
-	// gVals/gState/gPend are the event-driven good simulator's scratch
-	// state, all by position.
-	goodRows [][]sim.PVal
-	gDelta   [][]int32
+	// Good-circuit values per frame of the current sequence, one byte
+	// per position, shared read-only across batches: the broadcast good
+	// word a batch's divergence is taken against. gVals/gState/gPend
+	// are the event-driven good simulator's scratch state, all by
+	// position.
+	goodRows [][]sim.Val
 	gVals    []sim.Val
 	gState   []sim.Val
 	gPend    []uint64 // pending-event bitset by position
@@ -153,21 +151,22 @@ func NewSimulator(c *netlist.Circuit) (*Simulator, error) {
 // SoA exposes the flattened circuit view the kernel runs on.
 func (fs *Simulator) SoA() *netlist.SoA { return fs.soa }
 
-// fallbackThreshold resolves FallbackEvals: 0 means three quarters of
+// fallbackThreshold resolves fallbackEvals: 0 means three quarters of
 // the oblivious per-frame work, negative means never fall back.
 func (fs *Simulator) fallbackThreshold() int {
 	switch {
-	case fs.FallbackEvals > 0:
-		return fs.FallbackEvals
-	case fs.FallbackEvals < 0:
+	case fs.fallbackEvals > 0:
+		return fs.fallbackEvals
+	case fs.fallbackEvals < 0:
 		return 1 << 30
 	default:
 		return fs.soa.EvalGates * 3 / 4
 	}
 }
 
-// pconstTab is sim.PConst as a lookup table, indexed by sim.Val.
-var pconstTab = [3]sim.PVal{
+// pconstTab is sim.PConst as a lookup table, indexed by sim.Val and
+// padded to four entries so that v&3 indexes it without a bounds check.
+var pconstTab = [4]sim.PVal{
 	sim.V0: {Zero: ^uint64(0)},
 	sim.V1: {One: ^uint64(0)},
 	sim.VX: {},
@@ -223,9 +222,9 @@ func (fs *Simulator) DetectsOne(seq [][]sim.Val, f Fault) (bool, error) {
 }
 
 // simulateGood runs the good circuit over the sequence once with the
-// event-driven scheduler and records every gate's value per frame as a
-// broadcast word in fs.goodRows, shared read-only by all batches. It
-// also validates the vector widths, so runBatch cannot fail.
+// event-driven scheduler and records every gate's value per frame in
+// fs.goodRows, shared read-only by all batches. It also validates the
+// vector widths, so runBatch cannot fail.
 func (fs *Simulator) simulateGood(seq [][]sim.Val) error {
 	for _, vec := range seq {
 		if len(vec) != len(fs.soa.PIPos) {
@@ -234,21 +233,15 @@ func (fs *Simulator) simulateGood(seq [][]sim.Val) error {
 	}
 	atomic.AddInt64(&fs.stats.sequences, 1)
 	if cap(fs.goodRows) < len(seq) {
-		fs.goodRows = make([][]sim.PVal, len(seq))
+		fs.goodRows = make([][]sim.Val, len(seq))
 	}
 	fs.goodRows = fs.goodRows[:len(seq)]
 	n := fs.soa.NumGates()
 	for t := range fs.goodRows {
 		if fs.goodRows[t] == nil {
-			fs.goodRows[t] = make([]sim.PVal, n)
+			fs.goodRows[t] = make([]sim.Val, n)
 		}
 	}
-	if cap(fs.gDelta) < len(seq) {
-		d := make([][]int32, len(seq))
-		copy(d, fs.gDelta)
-		fs.gDelta = d
-	}
-	fs.gDelta = fs.gDelta[:len(seq)]
 
 	// Power-up: everything X, every gate scheduled once (the initial
 	// full evaluation the event discipline needs to seed values).
@@ -268,11 +261,9 @@ func (fs *Simulator) simulateGood(seq [][]sim.Val) error {
 	fout, foutOff := fs.soa.Fout, fs.soa.FoutOff
 	var goodEvals int64
 	for t, vec := range seq {
-		delta := fs.gDelta[t][:0]
 		for i, p := range fs.soa.PIPos {
 			if fs.gVals[p] != vec[i] {
 				fs.gVals[p] = vec[i]
-				delta = append(delta, p)
 				for _, o := range fout[foutOff[p]:foutOff[p+1]] {
 					fs.gSchedule(o)
 				}
@@ -281,7 +272,6 @@ func (fs *Simulator) simulateGood(seq [][]sim.Val) error {
 		for i, p := range fs.soa.DFFPos {
 			if fs.gVals[p] != fs.gState[i] {
 				fs.gVals[p] = fs.gState[i]
-				delta = append(delta, p)
 				for _, o := range fout[foutOff[p]:foutOff[p+1]] {
 					fs.gSchedule(o)
 				}
@@ -300,18 +290,13 @@ func (fs *Simulator) simulateGood(seq [][]sim.Val) error {
 				goodEvals++
 				if v != fs.gVals[p] {
 					fs.gVals[p] = v
-					delta = append(delta, int32(p))
 					for _, o := range fout[foutOff[p]:foutOff[p+1]] {
 						fs.gSchedule(o)
 					}
 				}
 			}
 		}
-		fs.gDelta[t] = delta
-		row := fs.goodRows[t]
-		for p, v := range fs.gVals {
-			row[p] = pconstTab[v]
-		}
+		copy(fs.goodRows[t], fs.gVals)
 		for i, dp := range fs.soa.DFFD {
 			fs.gState[i] = fs.gVals[dp]
 		}
