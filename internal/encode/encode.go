@@ -62,13 +62,20 @@ func MinBits(n int) int {
 // affinity heuristic. The embedding is a deterministic greedy placement
 // followed by pairwise-swap refinement.
 func Assign(m *fsm.FSM, alg Algorithm) Encoding {
-	n := m.NumStates()
-	nbits := MinBits(n)
+	nbits := MinBits(m.NumStates())
 	w := affinity(m, alg)
+	code := place(w, m.Reset, nbits)
+	refine(w, code, m.Reset, nbits)
+	return Encoding{Bits: nbits, Code: code}
+}
 
-	// Greedy placement: order states by total affinity (descending);
-	// the reset state is placed first at code 0 so the explicit reset
-	// line of the synthesized circuit drives an all-zero code.
+// place is the greedy placement: states in order of total affinity
+// (descending) each take the free code nearest, by weighted Hamming
+// distance, to the states already placed. The reset state is placed
+// first at code 0 so the explicit reset line of the synthesized circuit
+// drives an all-zero code.
+func place(w [][]int, reset, nbits int) []uint64 {
+	n := len(w)
 	totals := make([]int, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -77,12 +84,12 @@ func Assign(m *fsm.FSM, alg Algorithm) Encoding {
 	}
 	order := make([]int, 0, n)
 	for s := 0; s < n; s++ {
-		if s != m.Reset {
+		if s != reset {
 			order = append(order, s)
 		}
 	}
 	sort.SliceStable(order, func(a, b int) bool { return totals[order[a]] > totals[order[b]] })
-	order = append([]int{m.Reset}, order...)
+	order = append([]int{reset}, order...)
 
 	code := make([]uint64, n)
 	assigned := make([]bool, n)
@@ -113,21 +120,58 @@ func Assign(m *fsm.FSM, alg Algorithm) Encoding {
 		usedCode[bestCode] = true
 		assigned[s] = true
 	}
+	return code
+}
 
-	// Pairwise swap refinement (reset stays pinned at code 0).
+// refine improves code by pairwise swaps, reset pinned at code 0, in
+// up to four passes over the pairs. cost[s][c] is the weighted Hamming
+// distance from code c to every state's current code,
+// Σ_t w[s][t]·|c^code[t]|, so a swap's gain is a few table reads
+// instead of two O(n) sums, and an accepted swap updates the table in
+// O(n·2^nbits). The arithmetic is exact, so the swaps taken are those
+// of summing the costs afresh for every pair.
+func refine(w [][]int, code []uint64, reset, nbits int) {
+	n := len(w)
+	cost := make([][]int, n)
+	for s := range cost {
+		cost[s] = make([]int, 1<<uint(nbits))
+		for c := range cost[s] {
+			for t := 0; t < n; t++ {
+				cost[s][c] += w[s][t] * bits.OnesCount64(uint64(c)^code[t])
+			}
+		}
+	}
 	improve := func() bool {
 		improved := false
 		for a := 0; a < n; a++ {
-			if a == m.Reset {
+			if a == reset {
 				continue
 			}
 			for b := a + 1; b < n; b++ {
-				if b == m.Reset {
+				if b == reset {
 					continue
 				}
-				if swapGain(w, code, n, a, b) > 0 {
-					code[a], code[b] = code[b], code[a]
-					improved = true
+				ca, cb := code[a], code[b]
+				// cost[a][cb] still sees b at cb, so it lacks the a-b
+				// term w[a][b]·|ca^cb| that the swap keeps, as does
+				// cost[b][ca]; the middle term puts both back.
+				gain := cost[a][ca] + cost[b][cb] - 2*w[a][b]*bits.OnesCount64(ca^cb) -
+					cost[a][cb] - cost[b][ca]
+				if gain <= 0 {
+					continue
+				}
+				code[a], code[b] = cb, ca
+				improved = true
+				// Moving a from ca to cb and b from cb to ca shifts every
+				// cost[s][c] by (w[s][a]-w[s][b])·(|c^cb|-|c^ca|).
+				for s := range cost {
+					dw := w[s][a] - w[s][b]
+					if dw == 0 {
+						continue
+					}
+					for c := range cost[s] {
+						cost[s][c] += dw * (bits.OnesCount64(uint64(c)^cb) - bits.OnesCount64(uint64(c)^ca))
+					}
 				}
 			}
 		}
@@ -135,28 +179,6 @@ func Assign(m *fsm.FSM, alg Algorithm) Encoding {
 	}
 	for pass := 0; pass < 4 && improve(); pass++ {
 	}
-
-	return Encoding{Bits: nbits, Code: code}
-}
-
-// swapGain returns the cost reduction achieved by swapping the codes of
-// states a and b (positive is better).
-func swapGain(w [][]int, code []uint64, n, a, b int) int {
-	cost := func(s int, c uint64) int {
-		total := 0
-		for t := 0; t < n; t++ {
-			if t == s || t == a || t == b {
-				continue
-			}
-			if w[s][t] > 0 {
-				total += w[s][t] * bits.OnesCount64(c^code[t])
-			}
-		}
-		return total
-	}
-	before := cost(a, code[a]) + cost(b, code[b])
-	after := cost(a, code[b]) + cost(b, code[a])
-	return before - after
 }
 
 // affinity builds the symmetric state-pair weight matrix for the given

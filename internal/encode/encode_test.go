@@ -1,7 +1,9 @@
 package encode
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"seqatpg/internal/fsm"
@@ -152,5 +154,85 @@ func TestAssignBeatsRandomEmbedding(t *testing.T) {
 	}
 	if worse < trials*2/3 {
 		t.Errorf("embedding beats only %d of %d random assignments", worse, trials)
+	}
+}
+
+// referenceAssign is Assign with the swap refinement that sums both
+// states' costs afresh for every pair, the way the table in refine
+// must reproduce exactly.
+func referenceAssign(m *fsm.FSM, alg Algorithm) Encoding {
+	nbits := MinBits(m.NumStates())
+	w := affinity(m, alg)
+	code := place(w, m.Reset, nbits)
+	n := len(w)
+	improve := func() bool {
+		improved := false
+		for a := 0; a < n; a++ {
+			if a == m.Reset {
+				continue
+			}
+			for b := a + 1; b < n; b++ {
+				if b == m.Reset {
+					continue
+				}
+				if referenceSwapGain(w, code, a, b) > 0 {
+					code[a], code[b] = code[b], code[a]
+					improved = true
+				}
+			}
+		}
+		return improved
+	}
+	for pass := 0; pass < 4 && improve(); pass++ {
+	}
+	return Encoding{Bits: nbits, Code: code}
+}
+
+// referenceSwapGain returns the cost reduction achieved by swapping the
+// codes of states a and b (positive is better).
+func referenceSwapGain(w [][]int, code []uint64, a, b int) int {
+	cost := func(s int, c uint64) int {
+		total := 0
+		for t := range w {
+			if t == s || t == a || t == b {
+				continue
+			}
+			if w[s][t] > 0 {
+				total += w[s][t] * bits.OnesCount64(c^code[t])
+			}
+		}
+		return total
+	}
+	before := cost(a, code[a]) + cost(b, code[b])
+	after := cost(a, code[b]) + cost(b, code[a])
+	return before - after
+}
+
+// TestAssignMatchesReference pins the swap table: on the six suite
+// machines and on seeded random ones, under every heuristic, Assign
+// must return the reference's encoding code for code.
+func TestAssignMatchesReference(t *testing.T) {
+	var machines []*fsm.FSM
+	for _, b := range fsm.Suite() {
+		raw, err := fsm.Generate(b.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := fsm.Minimize(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		machines = append(machines, m)
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		machines = append(machines, genMachine(t, 3+int(seed)*5, seed))
+	}
+	for _, m := range machines {
+		for _, alg := range []Algorithm{InputDominant, OutputDominant, Combined} {
+			got, want := Assign(m, alg), referenceAssign(m, alg)
+			if got.Bits != want.Bits || !slices.Equal(got.Code, want.Code) {
+				t.Errorf("%s (%d states) %v:\n got %+v\nwant %+v", m.Name, m.NumStates(), alg, got, want)
+			}
+		}
 	}
 }

@@ -35,7 +35,11 @@ func (f Fault) String() string {
 // input branch is the observable line).
 func FullUniverse(c *netlist.Circuit) []Fault {
 	fanouts := c.Fanouts()
-	var out []Fault
+	n := 0 // a stem pair per gate bounds the list
+	for _, g := range c.Gates {
+		n += 2 * (1 + len(g.Fanin))
+	}
+	out := make([]Fault, 0, n)
 	for id, g := range c.Gates {
 		if g.Type != netlist.Output && len(fanouts[id]) > 0 {
 			out = append(out, Fault{Gate: id, Pin: -1, SA: sim.V0})
@@ -52,10 +56,32 @@ func FullUniverse(c *netlist.Circuit) []Fault {
 // Collapse performs structural equivalence collapsing on the fault list
 // using the classic per-gate rules plus single-fanout stem/branch
 // merging, and returns one representative per equivalence class.
+// Faults the rules never name (off the circuit, or with a stuck value
+// other than V0/V1) are kept as they are; of duplicates, the last
+// takes part in the classes and the earlier ones are kept as they are.
 func Collapse(c *netlist.Circuit, faults []Fault) []Fault {
-	idx := map[Fault]int{}
+	// Every terminal owns two slots, stuck-at-0 then stuck-at-1: the
+	// output stem at base[g], then one pair per fanin pin. slot holds
+	// the index in faults of the fault on each, or -1.
+	base := make([]int, len(c.Gates)+1)
+	for id, g := range c.Gates {
+		base[id+1] = base[id] + 2*(1+len(g.Fanin))
+	}
+	slot := make([]int, base[len(c.Gates)])
+	for i := range slot {
+		slot[i] = -1
+	}
+	at := func(f Fault) int {
+		if f.Gate < 0 || f.Gate >= len(c.Gates) || f.Pin < -1 ||
+			f.Pin >= len(c.Gates[f.Gate].Fanin) || f.SA > sim.V1 {
+			return -1
+		}
+		return base[f.Gate] + 2*(f.Pin+1) + int(f.SA)
+	}
 	for i, f := range faults {
-		idx[f] = i
+		if x := at(f); x >= 0 {
+			slot[x] = i
+		}
 	}
 	parent := make([]int, len(faults))
 	for i := range parent {
@@ -70,11 +96,11 @@ func Collapse(c *netlist.Circuit, faults []Fault) []Fault {
 		return x
 	}
 	union := func(a, b Fault) {
-		ia, oka := idx[a]
-		ib, okb := idx[b]
-		if !oka || !okb {
+		xa, xb := at(a), at(b)
+		if xa < 0 || xb < 0 || slot[xa] < 0 || slot[xb] < 0 {
 			return
 		}
+		ia, ib := slot[xa], slot[xb]
 		ra, rb := find(ia), find(ib)
 		if ra != rb {
 			// Prefer the smaller index as representative so output is

@@ -1,5 +1,7 @@
 package logic
 
+import "math/bits"
+
 // Minimize runs an espresso-style heuristic two-level minimization of
 // the ON-set on against the don't-care set dc (dc may be nil). It
 // returns a cover equivalent to on over the care space: the result
@@ -50,11 +52,20 @@ func Minimize(on, dc *Cover) *Cover {
 // until no literal can be raised. Every cube of f already lies inside
 // care, so a raise is legal iff the half it adds, the cube with that
 // literal flipped, does too.
+//
+// A half differs from its cube in one variable, so only care cubes
+// that conflict with the cube in at most one variable can meet it; the
+// containment tests run against that near list, kept in care's order,
+// which covered would otherwise reach by skipping every other cube as
+// disjoint. A raise can bring a cube from two conflicts to one, so the
+// list is rebuilt after each one.
 func (k *kernel) expand(f, care []uint64) []uint64 {
 	f = k.sorted(f, true)
 	half := make([]uint64, k.s)
+	var near []uint64
 	for i := 0; i < k.count(f); i++ {
 		c := k.cube(f, i)
+		near = k.nearCubes(near[:0], care, c)
 		for raised := true; raised; {
 			raised = false
 			for j := 0; j < k.w; j++ {
@@ -63,16 +74,39 @@ func (k *kernel) expand(f, care []uint64) []uint64 {
 					copy(half, c)
 					half[j] ^= bit
 					half[k.w+j] ^= bit
-					if k.covered(half, care, -1, nil, nil) {
+					if k.covered(half, near, -1, nil, nil) {
 						c[j] |= bit
 						c[k.w+j] |= bit
 						raised = true
+						near = k.nearCubes(near[:0], care, c)
 					}
 				}
 			}
 		}
 	}
 	return k.singleCubeContain(f)
+}
+
+// nearCubes appends to dst, in order, the cubes of f that conflict
+// with cube c (have disjoint values) in at most one variable.
+func (k *kernel) nearCubes(dst, f, c []uint64) []uint64 {
+	w, s, mask := k.w, k.s, k.mask
+	cz, co := c[:w:w], c[w:s:s]
+	for at := 0; at < len(f); at += s {
+		conflicts := 0
+		for j, m := range mask {
+			if x := m &^ (f[at+j]&cz[j] | f[at+w+j]&co[j]); x != 0 {
+				conflicts += bits.OnesCount64(x)
+				if conflicts > 1 {
+					break
+				}
+			}
+		}
+		if conflicts <= 1 {
+			dst = append(dst, f[at:at+s]...)
+		}
+	}
+	return dst
 }
 
 // irredundant removes cubes that are covered by the union of the other

@@ -149,7 +149,25 @@ func (c *Circuit) Clone() *Circuit {
 
 // Fanouts returns, for every gate, the ids of gates that read its value.
 func (c *Circuit) Fanouts() [][]int {
+	// Count, then fill one backing array. Each entry's capacity ends at
+	// its own length, so an append to one entry copies instead of
+	// overwriting the next.
+	n := make([]int, len(c.Gates))
+	total := 0
+	for _, g := range c.Gates {
+		for _, f := range g.Fanin {
+			n[f]++
+			total++
+		}
+	}
 	out := make([][]int, len(c.Gates))
+	backing, at := make([]int, total), 0
+	for id, k := range n {
+		if k > 0 {
+			out[id] = backing[at : at : at+k]
+			at += k
+		}
+	}
 	for id, g := range c.Gates {
 		for _, f := range g.Fanin {
 			out[f] = append(out[f], id)

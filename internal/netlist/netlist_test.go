@@ -1,6 +1,9 @@
 package netlist
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // buildToggle returns a 1-input circuit: a DFF whose D input is
 // XOR(in, Q) and a PO observing Q — a toggle flip-flop enable.
@@ -98,6 +101,27 @@ func TestFanouts(t *testing.T) {
 	// The XOR feeds only the DFF D input.
 	if len(f[2]) != 1 || f[2][0] != 1 {
 		t.Errorf("XOR fanouts = %v", f[2])
+	}
+}
+
+// TestFanoutsAppendIsolated: the entries share one backing array, so
+// each must be capacity-capped; an append to one entry must not write
+// into the entry after it.
+func TestFanoutsAppendIsolated(t *testing.T) {
+	c := buildToggle(t)
+	f := c.Fanouts()
+	want := make([][]int, len(f))
+	for id := range f {
+		want[id] = slices.Clone(f[id])
+	}
+	for id := range f {
+		f[id] = append(f[id], 99)
+		for other := range f {
+			if other != id && !slices.Equal(f[other], want[other]) {
+				t.Errorf("appending to gate %d's fanouts changed gate %d's: %v, want %v", id, other, f[other], want[other])
+			}
+		}
+		f[id] = f[id][:len(want[id])]
 	}
 }
 

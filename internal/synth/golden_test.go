@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"seqatpg/internal/bench"
@@ -88,6 +89,23 @@ func sha(b []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
+// synthHashes synthesizes m under spec and returns the SHA-256 of its
+// netlist and of its minimized covers.
+func synthHashes(t *testing.T, m *fsm.FSM, spec bench.PairSpec, useDC bool) [2]string {
+	t.Helper()
+	r, err := synth.Synthesize(m, synth.Options{
+		Algorithm: spec.Alg, Script: spec.Script, UseUnreachableDC: useDC,
+	})
+	if err != nil {
+		t.Fatalf("%s/dc=%v: %v", spec.Name(), useDC, err)
+	}
+	var net bytes.Buffer
+	if err := netlist.Write(&net, r.Circuit); err != nil {
+		t.Fatal(err)
+	}
+	return [2]string{sha(net.Bytes()), sha([]byte(coversText(r)))}
+}
+
 func TestSynthesizeGolden(t *testing.T) {
 	machines := suiteMachines(t)
 	for _, spec := range bench.PairSpecs() {
@@ -114,6 +132,24 @@ func TestSynthesizeGolden(t *testing.T) {
 			}
 			if got[1] != want[1] {
 				t.Errorf("%s: covers hash %s, want %s", key, got[1], want[1])
+			}
+		}
+	}
+}
+
+// TestSynthesizeWorkerInvariant: the per-output minimizations run on
+// GOMAXPROCS goroutines, each writing its own slot, so every suite
+// circuit's netlist and covers must not depend on how many there are.
+func TestSynthesizeWorkerInvariant(t *testing.T) {
+	machines := suiteMachines(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, spec := range bench.PairSpecs() {
+		for _, useDC := range []bool{true, false} {
+			runtime.GOMAXPROCS(1)
+			one := synthHashes(t, machines[spec.FSM], spec, useDC)
+			runtime.GOMAXPROCS(2)
+			if two := synthHashes(t, machines[spec.FSM], spec, useDC); two != one {
+				t.Errorf("%s/dc=%v: hashes %v with 2 procs, %v with 1", spec.Name(), useDC, two, one)
 			}
 		}
 	}

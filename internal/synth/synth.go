@@ -9,7 +9,10 @@ package synth
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"seqatpg/internal/encode"
 	"seqatpg/internal/fsm"
@@ -88,15 +91,13 @@ func Synthesize(m *fsm.FSM, opt Options) (*Result, error) {
 		return c
 	}
 
-	// ON-set extraction from the STG.
-	next := make([]*logic.Cover, nBits)
-	for j := range next {
-		next[j] = logic.NewCover(nVars)
+	// ON-set extraction from the STG: one cover per state bit, then one
+	// per output.
+	covers := make([]*logic.Cover, nBits+m.NumOutputs)
+	for j := range covers {
+		covers[j] = logic.NewCover(nVars)
 	}
-	outs := make([]*logic.Cover, m.NumOutputs)
-	for j := range outs {
-		outs[j] = logic.NewCover(nVars)
-	}
+	next, outs := covers[:nBits:nBits], covers[nBits:]
 	for _, t := range m.Trans {
 		base := stateCube(enc.Code[t.From])
 		copy(base[:nIn], t.Input)
@@ -128,12 +129,7 @@ func Synthesize(m *fsm.FSM, opt Options) (*Result, error) {
 		}
 	}
 
-	for j := range next {
-		next[j] = logic.Minimize(next[j], dc)
-	}
-	for j := range outs {
-		outs[j] = logic.Minimize(outs[j], dc)
-	}
+	minimizeAll(covers, dc)
 
 	name := fmt.Sprintf("%s.%s.%s", m.Name, opt.Algorithm, opt.Script)
 	b := newBuilder(name, nIn, nBits)
@@ -152,6 +148,25 @@ func Synthesize(m *fsm.FSM, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("synth %s: %w", name, err)
 	}
 	return &Result{Circuit: b.c, Encoding: enc, NextState: next, Outputs: outs}, nil
+}
+
+// minimizeAll replaces every cover of fs by its minimization against
+// dc. The calls share nothing but the read-only dc, so GOMAXPROCS
+// goroutines take indices from one counter and each result lands in
+// its own slot: the covers are the same for any worker count.
+func minimizeAll(fs []*logic.Cover, dc *logic.Cover) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(fs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := int(next.Add(1)) - 1; j < len(fs); j = int(next.Add(1)) - 1 {
+				fs[j] = logic.Minimize(fs[j], dc)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // builder accumulates the netlist with structural hashing so identical

@@ -3,13 +3,16 @@
 # in BENCH_fsim.json at the repo root, so kernel perf changes leave a
 # reviewable trail next to the code.
 #
-#   scripts/bench_fsim.sh                 # default -benchtime=20x
+#   scripts/bench_fsim.sh                 # default -benchtime=20x -count=5
 #   BENCHTIME=200x scripts/bench_fsim.sh  # steadier numbers
+#   COUNT=9 scripts/bench_fsim.sh         # more runs per row
 #   BENCH_GATE=1 scripts/bench_fsim.sh    # also enforce the regression
 #                                         # gate (used by CI)
 #
-# Besides the raw per-benchmark numbers the JSON carries derived
-# ratios:
+# Every benchmark runs COUNT times. A row records the median of each
+# metric over those runs, plus the fastest and slowest ns/op ("ns/op_min",
+# "ns/op_max"): one run per row drifts by 20-30% on a shared host.
+# Besides the rows the JSON carries derived ratios, all of medians:
 #
 #   speedup_vs_seed   ParallelFaultSim (narrow serial headline) against
 #                     the seed kernel's recorded 5046183 ns/pass on the
@@ -39,7 +42,7 @@ cd "$(dirname "$0")/.."
 
 seed_baseline_ns=5046183
 
-out=$(go test -run='^$' -bench=. -benchtime="${BENCHTIME:-20x}" ./internal/fault/)
+out=$(go test -run='^$' -bench=. -benchtime="${BENCHTIME:-20x}" -count="${COUNT:-5}" ./internal/fault/)
 printf '%s\n' "$out"
 
 printf '%s\n' "$out" | awk \
@@ -48,21 +51,47 @@ printf '%s\n' "$out" | awk \
 	-v cpus="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)" \
 	-v seed="$seed_baseline_ns" \
 	-v gate="${BENCH_GATE:-0}" '
+BEGIN { OFMT = CONVFMT = "%.10g" }
 /^Benchmark/ {
 	name = $1
 	if (gomaxprocs == "") gomaxprocs = match(name, /-[0-9]+$/) ? substr(name, RSTART + 1) : 1
 	sub(/-[0-9]+$/, "", name)
 	sub(/^Benchmark/, "", name)
-	metrics = ""
-	for (i = 3; i + 1 <= NF; i += 2) {
-		if (metrics != "") metrics = metrics ", "
-		metrics = metrics "\"" $(i + 1) "\": " $i
+	if (!(name in runs)) {
+		order[n++] = name
+		iters[name] = $2
+		for (i = 3; i + 1 <= NF; i += 2) units[name] = units[name] " " $(i + 1)
 	}
-	rec[n++] = "    {\"name\": \"" name "\", \"iterations\": " $2 ", " metrics "}"
-	ns[name] = $3
+	k = ++runs[name]
+	for (i = 3; i + 1 <= NF; i += 2) val[name, $(i + 1), k] = $i
+}
+# median sorts the runs of one metric into v[1..runs] and returns their
+# median; v[1] and v[runs] are then the fastest and slowest.
+function median(name, unit, v,    c, i, j, x) {
+	c = runs[name]
+	for (i = 1; i <= c; i++) {
+		x = val[name, unit, i] + 0
+		for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
+		v[j + 1] = x
+	}
+	return c % 2 ? v[(c + 1) / 2] : (v[c / 2] + v[c / 2 + 1]) / 2
 }
 function ratio(a, b) { return (a in ns && b in ns && ns[b] > 0) ? ns[a] / ns[b] : 0 }
 END {
+	for (r = 0; r < n; r++) {
+		name = order[r]
+		metrics = ""
+		nu = split(units[name], us, " ")
+		for (u = 1; u <= nu; u++) {
+			m = median(name, us[u], v)
+			metrics = metrics ", \"" us[u] "\": " m
+			if (us[u] == "ns/op") {
+				ns[name] = m
+				metrics = metrics ", \"ns/op_min\": " v[1] ", \"ns/op_max\": " v[runs[name]]
+			}
+		}
+		rec[r] = "    {\"name\": \"" name "\", \"iterations\": " iters[name] ", \"runs\": " runs[name] metrics "}"
+	}
 	speedup_vs_seed = ("ParallelFaultSim" in ns && ns["ParallelFaultSim"] > 0) ? seed / ns["ParallelFaultSim"] : 0
 	speedup_w8 = ratio("ParallelFaultSimWorkers/w1", "ParallelFaultSimWorkers/w8")
 	active_vs_obliv = ratio("ActiveRegionVsOblivious/oblivious", "ActiveRegionVsOblivious/active")
