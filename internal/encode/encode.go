@@ -129,7 +129,9 @@ func place(w [][]int, reset, nbits int) []uint64 {
 // Σ_t w[s][t]·|c^code[t]|, so a swap's gain is a few table reads
 // instead of two O(n) sums, and an accepted swap updates the table in
 // O(n·2^nbits). The arithmetic is exact, so the swaps taken are those
-// of summing the costs afresh for every pair.
+// of summing the costs afresh for every pair. A pass that accepts k
+// swaps costs O(n² + k·n·2^nbits): as the per-pair sums' O(n³) while k
+// is O(n), and up to O(n⁴) were a pass to accept Θ(n²) swaps.
 func refine(w [][]int, code []uint64, reset, nbits int) {
 	n := len(w)
 	cost := make([][]int, n)

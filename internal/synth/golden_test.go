@@ -106,50 +106,30 @@ func synthHashes(t *testing.T, m *fsm.FSM, spec bench.PairSpec, useDC bool) [2]s
 	return [2]string{sha(net.Bytes()), sha([]byte(coversText(r)))}
 }
 
+// TestSynthesizeGolden checks every suite circuit against goldenSynth
+// under GOMAXPROCS 1 and 2: the per-output minimizations run on
+// GOMAXPROCS goroutines, each writing its own slot, so neither the
+// netlist nor the covers may depend on how many there are.
 func TestSynthesizeGolden(t *testing.T) {
 	machines := suiteMachines(t)
-	for _, spec := range bench.PairSpecs() {
-		for _, useDC := range []bool{true, false} {
-			key := fmt.Sprintf("%s/dc=%v", spec.Name(), useDC)
-			r, err := synth.Synthesize(machines[spec.FSM], synth.Options{
-				Algorithm: spec.Alg, Script: spec.Script, UseUnreachableDC: useDC,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
-			var net bytes.Buffer
-			if err := netlist.Write(&net, r.Circuit); err != nil {
-				t.Fatal(err)
-			}
-			got := [2]string{sha(net.Bytes()), sha([]byte(coversText(r)))}
-			want, ok := goldenSynth[key]
-			if !ok {
-				t.Errorf("%q: {%q, %q}, (no golden entry)", key, got[0], got[1])
-				continue
-			}
-			if got[0] != want[0] {
-				t.Errorf("%s: netlist hash %s, want %s", key, got[0], want[0])
-			}
-			if got[1] != want[1] {
-				t.Errorf("%s: covers hash %s, want %s", key, got[1], want[1])
-			}
-		}
-	}
-}
-
-// TestSynthesizeWorkerInvariant: the per-output minimizations run on
-// GOMAXPROCS goroutines, each writing its own slot, so every suite
-// circuit's netlist and covers must not depend on how many there are.
-func TestSynthesizeWorkerInvariant(t *testing.T) {
-	machines := suiteMachines(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, spec := range bench.PairSpecs() {
-		for _, useDC := range []bool{true, false} {
-			runtime.GOMAXPROCS(1)
-			one := synthHashes(t, machines[spec.FSM], spec, useDC)
-			runtime.GOMAXPROCS(2)
-			if two := synthHashes(t, machines[spec.FSM], spec, useDC); two != one {
-				t.Errorf("%s/dc=%v: hashes %v with 2 procs, %v with 1", spec.Name(), useDC, two, one)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, spec := range bench.PairSpecs() {
+			for _, useDC := range []bool{true, false} {
+				key := fmt.Sprintf("%s/dc=%v", spec.Name(), useDC)
+				got := synthHashes(t, machines[spec.FSM], spec, useDC)
+				want, ok := goldenSynth[key]
+				if !ok {
+					t.Errorf("%q: {%q, %q}, (no golden entry)", key, got[0], got[1])
+					continue
+				}
+				if got[0] != want[0] {
+					t.Errorf("%s, %d procs: netlist hash %s, want %s", key, procs, got[0], want[0])
+				}
+				if got[1] != want[1] {
+					t.Errorf("%s, %d procs: covers hash %s, want %s", key, procs, got[1], want[1])
+				}
 			}
 		}
 	}

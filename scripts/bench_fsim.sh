@@ -5,11 +5,10 @@
 #
 #   scripts/bench_fsim.sh                 # default -benchtime=20x -count=5
 #   BENCHTIME=200x scripts/bench_fsim.sh  # steadier numbers
-#   COUNT=9 scripts/bench_fsim.sh         # more runs per row
 #   BENCH_GATE=1 scripts/bench_fsim.sh    # also enforce the regression
 #                                         # gate (used by CI)
 #
-# Every benchmark runs COUNT times. A row records the median of each
+# Every benchmark runs five times. A row records the median of each
 # metric over those runs, plus the fastest and slowest ns/op ("ns/op_min",
 # "ns/op_max"): one run per row drifts by 20-30% on a shared host.
 # Besides the rows the JSON carries derived ratios, all of medians:
@@ -42,7 +41,7 @@ cd "$(dirname "$0")/.."
 
 seed_baseline_ns=5046183
 
-out=$(go test -run='^$' -bench=. -benchtime="${BENCHTIME:-20x}" -count="${COUNT:-5}" ./internal/fault/)
+out=$(go test -run='^$' -bench=. -benchtime="${BENCHTIME:-20x}" -count=5 ./internal/fault/)
 printf '%s\n' "$out"
 
 printf '%s\n' "$out" | awk \
