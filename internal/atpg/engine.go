@@ -153,32 +153,75 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats aggregates the run counters the experiments report.
-type Stats struct {
-	Total     int
-	Detected  int
-	Redundant int
-	Aborted   int
-	// Crashed counts faults whose search panicked; the panic is
-	// recovered, recorded (see FaultCrash) and the run continues.
-	Crashed     int
-	Unconfirmed int
-	Effort      int64 // deterministic CPU proxy: gate evaluations actually performed
-	Backtracks  int64
+// Counters are the monotone effort counters of a run: they only grow
+// while it searches, so a campaign sums them across passes, shards and
+// snapshots, and a cancelled fault attempt rolls them back as a unit.
+// The JSON tags are the field names of the checkpoint snapshot, the
+// shard-result wire format and the service's job summary.
+type Counters struct {
+	Unconfirmed int   `json:"unconfirmed"`
+	Effort      int64 `json:"effort"` // deterministic CPU proxy: gate evaluations actually performed
+	Backtracks  int64 `json:"backtracks"`
 	// LearnHits/LearnPrunes count reuses of justified states and prunes
 	// via proven-unjustifiable cubes (SEST-style engines only).
-	LearnHits   int64
-	LearnPrunes int64
+	LearnHits   int64 `json:"learn_hits"`
+	LearnPrunes int64 `json:"learn_prunes"`
 	// LearnedCubes/Backjumps/Restarts count the conflict-driven search
 	// events (ConflictLearning engines only): blocking cubes stored,
 	// non-chronological backjumps taken, and Luby restarts fired.
-	LearnedCubes int64
-	Backjumps    int64
-	Restarts     int64
+	LearnedCubes int64 `json:"learned_cubes"`
+	Backjumps    int64 `json:"backjumps"`
+	Restarts     int64 `json:"restarts"`
+}
+
+// Add sums o into c.
+func (c *Counters) Add(o Counters) {
+	c.Unconfirmed += o.Unconfirmed
+	c.Effort += o.Effort
+	c.Backtracks += o.Backtracks
+	c.LearnHits += o.LearnHits
+	c.LearnPrunes += o.LearnPrunes
+	c.LearnedCubes += o.LearnedCubes
+	c.Backjumps += o.Backjumps
+	c.Restarts += o.Restarts
+}
+
+// Negative reports whether any counter is below zero, which no run can
+// produce: a decoder that meets one holds corrupt or hostile input.
+func (c Counters) Negative() bool {
+	return c.Unconfirmed < 0 || c.Effort < 0 || c.Backtracks < 0 || c.LearnHits < 0 ||
+		c.LearnPrunes < 0 || c.LearnedCubes < 0 || c.Backjumps < 0 || c.Restarts < 0
+}
+
+// Stats aggregates the run counters the experiments report.
+type Stats struct {
+	Total     int `json:"total"`
+	Detected  int `json:"detected"`
+	Redundant int `json:"redundant"`
+	Aborted   int `json:"aborted"`
+	// Crashed counts faults whose search panicked; the panic is
+	// recovered, recorded (see FaultCrash) and the run continues.
+	Crashed int `json:"crashed"`
+	Counters
 	// StatesTraversed is the set of fully specified states the
 	// generator visited: the good-circuit states of every applied
 	// sequence (the paper's "#states HITEC trav" instrument).
-	StatesTraversed map[uint64]bool
+	StatesTraversed map[uint64]bool `json:"-"`
+}
+
+// Tally counts one fault verdict: Aborted, and any outcome it does not
+// know, count as aborted.
+func (s *Stats) Tally(o Outcome) {
+	switch o {
+	case Detected:
+		s.Detected++
+	case Redundant:
+		s.Redundant++
+	case Crashed:
+		s.Crashed++
+	default:
+		s.Aborted++
+	}
 }
 
 // FC returns fault coverage (% detected).

@@ -67,14 +67,7 @@ type runLoopState struct {
 // is what makes checkpoint/resume exact: resuming replays the attempt
 // from scratch and takes the same deterministic path.
 type boundaryMark struct {
-	effort          int64
-	backtracks      int64
-	learnHits       int64
-	learnPrunes     int64
-	learnedCubes    int64
-	backjumps       int64
-	restarts        int64
-	unconfirmed     int
+	counters        Counters
 	totalLeft       int64
 	outOfBudget     bool
 	achievedLen     int
@@ -85,14 +78,7 @@ type boundaryMark struct {
 
 func (e *Engine) mark() boundaryMark {
 	return boundaryMark{
-		effort:          e.Stats.Effort,
-		backtracks:      e.Stats.Backtracks,
-		learnHits:       e.Stats.LearnHits,
-		learnPrunes:     e.Stats.LearnPrunes,
-		learnedCubes:    e.Stats.LearnedCubes,
-		backjumps:       e.Stats.Backjumps,
-		restarts:        e.Stats.Restarts,
-		unconfirmed:     e.Stats.Unconfirmed,
+		counters:        e.Stats.Counters,
 		totalLeft:       e.totalLeft,
 		outOfBudget:     e.outOfBudget,
 		achievedLen:     len(e.achievedKeys),
@@ -103,14 +89,7 @@ func (e *Engine) mark() boundaryMark {
 }
 
 func (e *Engine) rollback(m boundaryMark) {
-	e.Stats.Effort = m.effort
-	e.Stats.Backtracks = m.backtracks
-	e.Stats.LearnHits = m.learnHits
-	e.Stats.LearnPrunes = m.learnPrunes
-	e.Stats.LearnedCubes = m.learnedCubes
-	e.Stats.Backjumps = m.backjumps
-	e.Stats.Restarts = m.restarts
-	e.Stats.Unconfirmed = m.unconfirmed
+	e.Stats.Counters = m.counters
 	e.totalLeft = m.totalLeft
 	e.outOfBudget = m.outOfBudget
 	for _, k := range e.achievedKeys[m.achievedLen:] {
@@ -324,10 +303,10 @@ func (e *Engine) ResumeFaults(ctx context.Context, faults []fault.Fault, from *S
 			boundary(i + 1)
 			continue
 		}
+		e.Stats.Tally(outcome)
 		switch outcome {
 		case Detected:
 			rs.status[i] = 1
-			e.Stats.Detected++
 			rs.tests = append(rs.tests, seq)
 			recordStates(seq)
 			// Drop everything else this sequence catches (this fault is
@@ -337,10 +316,8 @@ func (e *Engine) ResumeFaults(ctx context.Context, faults []fault.Fault, from *S
 			}
 		case Redundant:
 			rs.status[i] = 2
-			e.Stats.Redundant++
 		default:
 			rs.status[i] = 3
-			e.Stats.Aborted++
 		}
 		rs.next = i + 1
 		// Size-bound the learning stores here, at the fault boundary:

@@ -182,8 +182,8 @@ type state struct {
 	pass       int   // current pass (0 = initial)
 	passFaults []int // original-list indices the current pass attacks
 	outcomes   []atpg.Outcome
-	done       []bool // outcomes[i] was fixed by a completed pass
-	agg        passAgg
+	done       []bool        // outcomes[i] was fixed by a completed pass
+	agg        atpg.Counters // summed over completed passes
 	states     map[uint64]bool
 	tests      [][][]sim.Val
 	crashes    []*atpg.FaultCrash
@@ -195,18 +195,6 @@ type state struct {
 	// uninterrupted run, and durability trouble in a previous process
 	// is that process's report.
 	ckptFailures int
-}
-
-// passAgg sums the monotone effort counters over completed passes.
-type passAgg struct {
-	Effort       int64
-	Backtracks   int64
-	LearnHits    int64
-	LearnPrunes  int64
-	LearnedCubes int64
-	Backjumps    int64
-	Restarts     int64
-	Unconfirmed  int
 }
 
 // writeCheckpoint attempts one checkpoint write. Failure degrades the
@@ -353,14 +341,7 @@ func Run(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, cfg Conf
 			st.outcomes[idx] = res.Outcomes[k]
 			st.done[idx] = true
 		}
-		st.agg.Effort += res.Stats.Effort
-		st.agg.Backtracks += res.Stats.Backtracks
-		st.agg.LearnHits += res.Stats.LearnHits
-		st.agg.LearnPrunes += res.Stats.LearnPrunes
-		st.agg.LearnedCubes += res.Stats.LearnedCubes
-		st.agg.Backjumps += res.Stats.Backjumps
-		st.agg.Restarts += res.Stats.Restarts
-		st.agg.Unconfirmed += res.Stats.Unconfirmed
+		st.agg.Add(res.Stats.Counters)
 		for s := range res.Stats.StatesTraversed {
 			st.states[s] = true
 		}
@@ -427,19 +408,7 @@ func assemble(st *state, interrupted bool) *Result {
 		CheckpointFailures: st.ckptFailures,
 		Degraded:           st.ckptFailures > 0,
 	}
-	stats := atpg.Stats{Total: len(st.outcomes)}
-	count := func(o atpg.Outcome, delta int) {
-		switch o {
-		case atpg.Detected:
-			stats.Detected += delta
-		case atpg.Redundant:
-			stats.Redundant += delta
-		case atpg.Crashed:
-			stats.Crashed += delta
-		default:
-			stats.Aborted += delta
-		}
-	}
+	stats := atpg.Stats{Total: len(st.outcomes), Counters: st.agg}
 	for i, o := range res.Outcomes {
 		if !st.done[i] {
 			// Never resolved by a completed pass: conservatively
@@ -447,7 +416,7 @@ func assemble(st *state, interrupted bool) *Result {
 			stats.Aborted++
 			continue
 		}
-		count(o, 1)
+		stats.Tally(o)
 	}
 	if interrupted && st.snap != nil {
 		// Mid-pass verdicts supersede the previous pass's aborts (and,
@@ -466,31 +435,15 @@ func assemble(st *state, interrupted bool) *Result {
 				continue
 			}
 			stats.Aborted--
-			count(o, 1)
+			stats.Tally(o)
 			res.Outcomes[idx] = o
 		}
-		sn := st.snap.Stats
-		stats.Effort += sn.Effort
-		stats.Backtracks += sn.Backtracks
-		stats.LearnHits += sn.LearnHits
-		stats.LearnPrunes += sn.LearnPrunes
-		stats.LearnedCubes += sn.LearnedCubes
-		stats.Backjumps += sn.Backjumps
-		stats.Restarts += sn.Restarts
-		stats.Unconfirmed += sn.Unconfirmed
-		for s := range sn.StatesTraversed {
+		stats.Add(st.snap.Stats.Counters)
+		for s := range st.snap.Stats.StatesTraversed {
 			st.states[s] = true
 		}
 		res.Tests = append(res.Tests, st.snap.Tests...)
 	}
-	stats.Effort += st.agg.Effort
-	stats.Backtracks += st.agg.Backtracks
-	stats.LearnHits += st.agg.LearnHits
-	stats.LearnPrunes += st.agg.LearnPrunes
-	stats.LearnedCubes += st.agg.LearnedCubes
-	stats.Backjumps += st.agg.Backjumps
-	stats.Restarts += st.agg.Restarts
-	stats.Unconfirmed += st.agg.Unconfirmed
 	stats.StatesTraversed = st.states
 	res.Stats = stats
 	return res

@@ -328,7 +328,7 @@ func TestCampaignCheckpointRoundTrip(t *testing.T) {
 	st.passFaults = []int{1, 4}
 	st.outcomes = []atpg.Outcome{atpg.Detected, atpg.Aborted, atpg.Redundant, atpg.Crashed, atpg.Aborted}
 	st.done = []bool{true, true, true, true, true}
-	st.agg = passAgg{Effort: 123, Backtracks: 4, LearnHits: 5, LearnPrunes: 6, Unconfirmed: 1}
+	st.agg = atpg.Counters{Effort: 123, Backtracks: 4, LearnHits: 5, LearnPrunes: 6, Unconfirmed: 1}
 	st.states = map[uint64]bool{3: true, 9: true}
 	st.tests = [][][]sim.Val{{{sim.V0, sim.V1, sim.VX}}}
 	st.crashes = []*atpg.FaultCrash{{
@@ -342,7 +342,7 @@ func TestCampaignCheckpointRoundTrip(t *testing.T) {
 		Status:     []byte{1, 0},
 		Tests:      [][][]sim.Val{{{sim.V1, sim.V1, sim.V0}}},
 		Stats: atpg.Stats{
-			Total: 2, Detected: 1, Effort: 77,
+			Total: 2, Detected: 1, Counters: atpg.Counters{Effort: 77},
 			StatesTraversed: map[uint64]bool{5: true},
 		},
 		TotalLeft:   42,
@@ -392,6 +392,56 @@ func TestCampaignCheckpointRoundTrip(t *testing.T) {
 	// A missing file is a clean fresh start.
 	if st, _, err := loadState(ioguard.OS, filepath.Join(t.TempDir(), "nope"), "fp", 5); st != nil || err != nil {
 		t.Errorf("missing checkpoint: st=%v err=%v", st, err)
+	}
+}
+
+// TestCheckpointRejectsNegativeCounters: a CRC-valid checkpoint whose
+// across-pass or snapshot effort counters are negative is corruption.
+// loadState falls back to the previous generation instead of resuming
+// with (and later reporting) negative effort, and CheckCheckpointBytes
+// refuses the payload a submitted Spec.Checkpoint would carry.
+func TestCheckpointRejectsNegativeCounters(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(st *state)
+	}{
+		{"agg effort", func(st *state) { st.agg.Effort = -5 }},
+		{"agg unconfirmed", func(st *state) { st.agg.Unconfirmed = -1 }},
+		{"snapshot backtracks", func(st *state) { st.snap.Stats.Backtracks = -7 }},
+		{"snapshot restarts", func(st *state) { st.snap.Stats.Restarts = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "neg.ckpt")
+			good := goldenCheckpointState()
+			if err := saveState(ioguard.OS, ckpt, "fp", good); err != nil {
+				t.Fatal(err)
+			}
+			bad := goldenCheckpointState()
+			tc.damage(bad)
+			if err := saveState(ioguard.OS, ckpt, "fp", bad); err != nil {
+				t.Fatal(err)
+			}
+			got, fellBack, err := loadState(ioguard.OS, ckpt, "fp", len(good.outcomes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fellBack || got.agg != good.agg || got.snap.Stats.Counters != good.snap.Stats.Counters {
+				t.Errorf("negative counters resumed: fellBack=%v agg=%+v snapshot=%+v", fellBack, got.agg, got.snap.Stats.Counters)
+			}
+			data, err := os.ReadFile(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := CheckCheckpointBytes(data); err == nil {
+				t.Error("CheckCheckpointBytes accepted negative counters")
+			}
+			if err := os.Remove(ckpt + prevSuffix); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := loadState(ioguard.OS, ckpt, "fp", len(good.outcomes)); err == nil || errors.Is(err, ErrCheckpointMismatch) {
+				t.Errorf("without a previous generation: err = %v, want a corruption error", err)
+			}
+		})
 	}
 }
 

@@ -112,21 +112,45 @@ type ckptSnap struct {
 	Crashes      []ckptCrash    `json:"crashes,omitempty"`
 }
 
+// ckptStats is a snapshot's (or a wire result's) Stats with the
+// traversed-state set rendered sorted.
 type ckptStats struct {
-	Total        int      `json:"total"`
-	Detected     int      `json:"detected"`
-	Redundant    int      `json:"redundant"`
-	Aborted      int      `json:"aborted"`
-	Crashed      int      `json:"crashed"`
-	Unconfirmed  int      `json:"unconfirmed"`
-	Effort       int64    `json:"effort"`
-	Backtracks   int64    `json:"backtracks"`
-	LearnHits    int64    `json:"learn_hits"`
-	LearnPrunes  int64    `json:"learn_prunes"`
-	LearnedCubes int64    `json:"learned_cubes"`
-	Backjumps    int64    `json:"backjumps"`
-	Restarts     int64    `json:"restarts"`
-	States       []uint64 `json:"states"`
+	atpg.Stats
+	States []uint64 `json:"states"`
+}
+
+func encodeStats(s atpg.Stats) ckptStats {
+	return ckptStats{Stats: s, States: sortedStates(s.StatesTraversed)}
+}
+
+func (cs ckptStats) decode() atpg.Stats {
+	s := cs.Stats
+	s.StatesTraversed = statesSet(cs.States)
+	return s
+}
+
+// passAgg is the on-disk shape of state.agg, the across-pass counters:
+// version 3 wrote them untagged, Unconfirmed last. Changing the shape
+// needs checkpointVersion 4, and the version is hashed into every
+// Fingerprint.
+type passAgg struct {
+	Effort       int64
+	Backtracks   int64
+	LearnHits    int64
+	LearnPrunes  int64
+	LearnedCubes int64
+	Backjumps    int64
+	Restarts     int64
+	Unconfirmed  int
+}
+
+func encodeAgg(c atpg.Counters) passAgg {
+	return passAgg{c.Effort, c.Backtracks, c.LearnHits, c.LearnPrunes, c.LearnedCubes, c.Backjumps, c.Restarts, c.Unconfirmed}
+}
+
+func (a passAgg) decode() atpg.Counters {
+	return atpg.Counters{Unconfirmed: a.Unconfirmed, Effort: a.Effort, Backtracks: a.Backtracks, LearnHits: a.LearnHits,
+		LearnPrunes: a.LearnPrunes, LearnedCubes: a.LearnedCubes, Backjumps: a.Backjumps, Restarts: a.Restarts}
 }
 
 // ckptLemma is one shared learned cube ("01X" state cube forcing one
@@ -284,22 +308,7 @@ func encodeSnap(snap *atpg.Snapshot) *ckptSnap {
 		FailedCubes:  snap.FailedCubes,
 		SharedFailed: snap.SharedFailed,
 		Crashes:      encodeCrashes(snap.Crashes),
-		Stats: ckptStats{
-			Total:        snap.Stats.Total,
-			Detected:     snap.Stats.Detected,
-			Redundant:    snap.Stats.Redundant,
-			Aborted:      snap.Stats.Aborted,
-			Crashed:      snap.Stats.Crashed,
-			Unconfirmed:  snap.Stats.Unconfirmed,
-			Effort:       snap.Stats.Effort,
-			Backtracks:   snap.Stats.Backtracks,
-			LearnHits:    snap.Stats.LearnHits,
-			LearnPrunes:  snap.Stats.LearnPrunes,
-			LearnedCubes: snap.Stats.LearnedCubes,
-			Backjumps:    snap.Stats.Backjumps,
-			Restarts:     snap.Stats.Restarts,
-			States:       sortedStates(snap.Stats.StatesTraversed),
-		},
+		Stats:        encodeStats(snap.Stats),
 	}
 	for _, a := range snap.Achieved {
 		cs.Achieved = append(cs.Achieved, ckptAchieved{
@@ -369,22 +378,7 @@ func decodeSnap(cs *ckptSnap, passFaults int) (*atpg.Snapshot, error) {
 		FailedCubes:  cs.FailedCubes,
 		SharedFailed: cs.SharedFailed,
 		Crashes:      decodeCrashes(cs.Crashes),
-		Stats: atpg.Stats{
-			Total:           cs.Stats.Total,
-			Detected:        cs.Stats.Detected,
-			Redundant:       cs.Stats.Redundant,
-			Aborted:         cs.Stats.Aborted,
-			Crashed:         cs.Stats.Crashed,
-			Unconfirmed:     cs.Stats.Unconfirmed,
-			Effort:          cs.Stats.Effort,
-			Backtracks:      cs.Stats.Backtracks,
-			LearnHits:       cs.Stats.LearnHits,
-			LearnPrunes:     cs.Stats.LearnPrunes,
-			LearnedCubes:    cs.Stats.LearnedCubes,
-			Backjumps:       cs.Stats.Backjumps,
-			Restarts:        cs.Stats.Restarts,
-			StatesTraversed: statesSet(cs.Stats.States),
-		},
+		Stats:        cs.Stats.decode(),
 	}
 	for _, a := range cs.Achieved {
 		seq, err := decodeSeq(a.Seq)
@@ -401,6 +395,13 @@ func decodeSnap(cs *ckptSnap, passFaults int) (*atpg.Snapshot, error) {
 		snap.LearnedCubes = append(snap.LearnedCubes, dec)
 	}
 	return snap, nil
+}
+
+// negativeCounters reports a checkpoint whose across-pass or snapshot
+// effort counters fall below zero. No run writes one, so a CRC-valid
+// file that does was corrupted or forged before it was checksummed.
+func (f *ckptFile) negativeCounters() bool {
+	return f.Agg.decode().Negative() || (f.Snap != nil && f.Snap.Stats.Negative())
 }
 
 // payloadCRC computes the checksum loadState verifies: the IEEE CRC32
@@ -441,7 +442,7 @@ func saveState(fsys ioguard.FS, path, fp string, st *state) error {
 		PassFaults:  st.passFaults,
 		Outcomes:    string(outcomes),
 		Done:        string(done),
-		Agg:         st.agg,
+		Agg:         encodeAgg(st.agg),
 		States:      sortedStates(st.states),
 		Tests:       encodeTests(st.tests),
 		Crashes:     encodeCrashes(st.crashes),
@@ -571,12 +572,15 @@ func loadGeneration(fsys ioguard.FS, path, fp string, n int) (*state, error) {
 		passFaults: file.PassFaults,
 		outcomes:   make([]atpg.Outcome, n),
 		done:       make([]bool, n),
-		agg:        file.Agg,
+		agg:        file.Agg.decode(),
 		states:     statesSet(file.States),
 		crashes:    decodeCrashes(file.Crashes),
 	}
 	if st.pass < 0 {
 		return nil, fmt.Errorf("campaign: checkpoint pass %d invalid", st.pass)
+	}
+	if file.negativeCounters() {
+		return nil, fmt.Errorf("campaign: checkpoint %s has negative effort counters", path)
 	}
 	for i := 0; i < n; i++ {
 		d := file.Outcomes[i] - '0'

@@ -40,7 +40,7 @@ func FuzzCheckpoint(f *testing.F) {
 	full.passFaults = []int{0, 2}
 	full.outcomes = []atpg.Outcome{atpg.Detected, atpg.Aborted, atpg.Aborted}
 	full.done = []bool{true, false, false}
-	full.agg = passAgg{Effort: 100, Backtracks: 7, Unconfirmed: 1}
+	full.agg = atpg.Counters{Effort: 100, Backtracks: 7, Unconfirmed: 1}
 	full.states = map[uint64]bool{0: true, 9: true}
 	full.tests = [][][]sim.Val{{{sim.V0, sim.V1, sim.VX}}}
 	full.crashes = []*atpg.FaultCrash{{Index: 1, Panic: "boom", Stack: "stack"}}
@@ -77,11 +77,11 @@ func FuzzCheckpoint(f *testing.F) {
 // save/load cycle with the store intact in insertion order.
 func FuzzLearnedCubes(f *testing.F) {
 	st := freshState(2)
-	st.agg = passAgg{Effort: 42, LearnedCubes: 3, Backjumps: 2, Restarts: 1}
+	st.agg = atpg.Counters{Effort: 42, LearnedCubes: 3, Backjumps: 2, Restarts: 1}
 	st.snap = &atpg.Snapshot{
 		Status: []byte{0, 0},
 		Stats: atpg.Stats{
-			Total: 2, LearnedCubes: 3, Backjumps: 2, Restarts: 1,
+			Total: 2, Counters: atpg.Counters{LearnedCubes: 3, Backjumps: 2, Restarts: 1},
 			StatesTraversed: map[uint64]bool{},
 		},
 		LearnedCubes: []atpg.LearnedCube{

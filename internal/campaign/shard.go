@@ -82,14 +82,7 @@ func MergeShardResults(faults []fault.Fault, idxs [][]int, results []*Result) *R
 		merged.Stats.Redundant += s.Redundant
 		merged.Stats.Aborted += s.Aborted
 		merged.Stats.Crashed += s.Crashed
-		merged.Stats.Unconfirmed += s.Unconfirmed
-		merged.Stats.Effort += s.Effort
-		merged.Stats.Backtracks += s.Backtracks
-		merged.Stats.LearnHits += s.LearnHits
-		merged.Stats.LearnPrunes += s.LearnPrunes
-		merged.Stats.LearnedCubes += s.LearnedCubes
-		merged.Stats.Backjumps += s.Backjumps
-		merged.Stats.Restarts += s.Restarts
+		merged.Stats.Add(s.Counters)
 		for st := range s.StatesTraversed {
 			merged.Stats.StatesTraversed[st] = true
 		}

@@ -60,22 +60,7 @@ func EncodeResult(res *Result) ([]byte, error) {
 		Interrupted:        res.Interrupted,
 		Degraded:           res.Degraded,
 		CheckpointFailures: res.CheckpointFailures,
-		Stats: ckptStats{
-			Total:        res.Stats.Total,
-			Detected:     res.Stats.Detected,
-			Redundant:    res.Stats.Redundant,
-			Aborted:      res.Stats.Aborted,
-			Crashed:      res.Stats.Crashed,
-			Unconfirmed:  res.Stats.Unconfirmed,
-			Effort:       res.Stats.Effort,
-			Backtracks:   res.Stats.Backtracks,
-			LearnHits:    res.Stats.LearnHits,
-			LearnPrunes:  res.Stats.LearnPrunes,
-			LearnedCubes: res.Stats.LearnedCubes,
-			Backjumps:    res.Stats.Backjumps,
-			Restarts:     res.Stats.Restarts,
-			States:       sortedStates(res.Stats.StatesTraversed),
-		},
+		Stats:              encodeStats(res.Stats),
 	}
 	data, err := json.MarshalIndent(&w, "", " ")
 	if err != nil {
@@ -113,16 +98,7 @@ func DecodeResult(data []byte) (*Result, error) {
 			return nil, fmt.Errorf("%w: outcome symbol %q", ErrResultWire, w.Outcomes[i])
 		}
 		res.Outcomes[i] = atpg.Outcome(d)
-		switch atpg.Outcome(d) {
-		case atpg.Detected:
-			counted.Detected++
-		case atpg.Redundant:
-			counted.Redundant++
-		case atpg.Crashed:
-			counted.Crashed++
-		default:
-			counted.Aborted++
-		}
+		counted.Tally(res.Outcomes[i])
 	}
 	if w.Passes < 0 || w.CheckpointFailures < 0 {
 		return nil, fmt.Errorf("%w: negative counters", ErrResultWire)
@@ -140,8 +116,7 @@ func DecodeResult(data []byte) (*Result, error) {
 			s.Aborted != counted.Aborted || s.Crashed != counted.Crashed) {
 		return nil, fmt.Errorf("%w: verdict counters disagree with the outcome string", ErrResultWire)
 	}
-	if s.Effort < 0 || s.Backtracks < 0 || s.LearnHits < 0 || s.LearnPrunes < 0 ||
-		s.LearnedCubes < 0 || s.Backjumps < 0 || s.Restarts < 0 || s.Unconfirmed < 0 {
+	if s.Negative() {
 		return nil, fmt.Errorf("%w: negative effort counters", ErrResultWire)
 	}
 	tests, err := decodeTests(w.Tests)
@@ -149,28 +124,13 @@ func DecodeResult(data []byte) (*Result, error) {
 		return nil, fmt.Errorf("%w: %v", ErrResultWire, err)
 	}
 	res.Tests = tests
-	res.Stats = atpg.Stats{
-		Total:           s.Total,
-		Detected:        s.Detected,
-		Redundant:       s.Redundant,
-		Aborted:         s.Aborted,
-		Crashed:         s.Crashed,
-		Unconfirmed:     s.Unconfirmed,
-		Effort:          s.Effort,
-		Backtracks:      s.Backtracks,
-		LearnHits:       s.LearnHits,
-		LearnPrunes:     s.LearnPrunes,
-		LearnedCubes:    s.LearnedCubes,
-		Backjumps:       s.Backjumps,
-		Restarts:        s.Restarts,
-		StatesTraversed: statesSet(s.States),
-	}
+	res.Stats = s.decode()
 	return res, nil
 }
 
 // CheckCheckpointBytes reports whether data is a structurally sound
 // campaign checkpoint of this build's schema version: parseable JSON
-// with a verifying payload CRC. It deliberately does not check the
+// with a verifying payload CRC and no negative effort counter. It deliberately does not check the
 // fingerprint — the caller (the fabric coordinator caching worker
 // checkpoints for re-dispatch) has no circuit in hand; the fingerprint
 // is enforced by loadState when the checkpoint is actually resumed.
@@ -189,6 +149,9 @@ func CheckCheckpointBytes(data []byte) error {
 	}
 	if file.Crc != want {
 		return fmt.Errorf("campaign: checkpoint payload fails its CRC32 (records %08x, payload hashes to %08x)", file.Crc, want)
+	}
+	if file.negativeCounters() {
+		return errors.New("campaign: checkpoint payload has negative effort counters")
 	}
 	return nil
 }

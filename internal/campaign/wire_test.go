@@ -24,16 +24,7 @@ func randomResult(rng *rand.Rand, n int) *Result {
 	for i := range res.Outcomes {
 		o := atpg.Outcome(rng.Intn(4))
 		res.Outcomes[i] = o
-		switch o {
-		case atpg.Detected:
-			res.Stats.Detected++
-		case atpg.Redundant:
-			res.Stats.Redundant++
-		case atpg.Crashed:
-			res.Stats.Crashed++
-		default:
-			res.Stats.Aborted++
-		}
+		res.Stats.Tally(o)
 	}
 	res.Stats.Effort = rng.Int63n(1 << 40)
 	res.Stats.Backtracks = rng.Int63n(1 << 20)
@@ -58,19 +49,9 @@ func randomResult(rng *rand.Rand, n int) *Result {
 		res.Outcomes[idx] = atpg.Crashed
 		// Rebuild counters after the overwrite.
 		st := atpg.Stats{Total: n, StatesTraversed: res.Stats.StatesTraversed,
-			Effort: res.Stats.Effort, Backtracks: res.Stats.Backtracks,
-			LearnHits: res.Stats.LearnHits, LearnPrunes: res.Stats.LearnPrunes}
+			Counters: res.Stats.Counters}
 		for _, o := range res.Outcomes {
-			switch o {
-			case atpg.Detected:
-				st.Detected++
-			case atpg.Redundant:
-				st.Redundant++
-			case atpg.Crashed:
-				st.Crashed++
-			default:
-				st.Aborted++
-			}
+			st.Tally(o)
 		}
 		res.Stats = st
 		res.Crashes = append(res.Crashes, &atpg.FaultCrash{

@@ -23,7 +23,7 @@ func FuzzFabricWire(f *testing.F) {
 		},
 		Stats: atpg.Stats{
 			Total: 5, Detected: 2, Redundant: 1, Aborted: 1, Crashed: 1,
-			Effort: 1234, Backtracks: 9,
+			Counters:        atpg.Counters{Effort: 1234, Backtracks: 9},
 			StatesTraversed: map[uint64]bool{1: true, 42: true},
 		},
 		Passes: 2,

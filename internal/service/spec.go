@@ -317,19 +317,12 @@ func predictScores(c *netlist.Circuit, faults []fault.Fault) ([]float64, error) 
 // status queries and metrics need, without the raw vectors (those are
 // served separately) or the traversed-state set (only its size).
 type Summary struct {
-	Total           int     `json:"total"`
-	Detected        int     `json:"detected"`
-	Redundant       int     `json:"redundant"`
-	Aborted         int     `json:"aborted"`
-	Crashed         int     `json:"crashed"`
-	Unconfirmed     int     `json:"unconfirmed"`
-	Effort          int64   `json:"effort"`
-	Backtracks      int64   `json:"backtracks"`
-	LearnHits       int64   `json:"learn_hits"`
-	LearnPrunes     int64   `json:"learn_prunes"`
-	LearnedCubes    int64   `json:"learned_cubes"`
-	Backjumps       int64   `json:"backjumps"`
-	Restarts        int64   `json:"restarts"`
+	Total     int `json:"total"`
+	Detected  int `json:"detected"`
+	Redundant int `json:"redundant"`
+	Aborted   int `json:"aborted"`
+	Crashed   int `json:"crashed"`
+	atpg.Counters
 	StatesTraversed int     `json:"states_traversed"`
 	FC              float64 `json:"fc"`
 	FE              float64 `json:"fe"`
@@ -354,14 +347,7 @@ func NewSummary(res *campaign.Result) Summary {
 		Redundant:          s.Redundant,
 		Aborted:            s.Aborted,
 		Crashed:            s.Crashed,
-		Unconfirmed:        s.Unconfirmed,
-		Effort:             s.Effort,
-		Backtracks:         s.Backtracks,
-		LearnHits:          s.LearnHits,
-		LearnPrunes:        s.LearnPrunes,
-		LearnedCubes:       s.LearnedCubes,
-		Backjumps:          s.Backjumps,
-		Restarts:           s.Restarts,
+		Counters:           s.Counters,
 		StatesTraversed:    len(s.StatesTraversed),
 		FC:                 s.FC(),
 		FE:                 s.FE(),
