@@ -1,7 +1,6 @@
 package atpg
 
 import (
-	"fmt"
 	"sort"
 
 	"seqatpg/internal/netlist"
@@ -427,26 +426,10 @@ type LearnedCube struct {
 	Val  sim.Val // the forced value
 }
 
-func lemmaKey(lc LearnedCube) string {
-	return fmt.Sprintf("%s|%d|%d", lc.Cube, lc.Bit, lc.Val)
-}
-
-// publishLemma appends a lemma to the shared store (dedup'd), keeping
-// the insertion-order journal the rollback and snapshot machinery
-// iterate.
-func (e *Engine) publishLemma(lc LearnedCube) {
-	k := lemmaKey(lc)
-	if e.lemmas[k] {
-		return
-	}
-	e.lemmas[k] = true
-	e.lemmaList = append(e.lemmaList, lc)
-}
-
 // seedLemmas installs every stored lemma that contradicts a
 // justification target as a blocking cube.
 func (e *Engine) seedLemmas(db *cubeDB, targets []targetLine) {
-	for _, lc := range e.lemmaList {
+	for _, lc := range e.lemmas.order {
 		if lc.Bit < 0 || lc.Bit >= len(e.c.DFFs) {
 			continue
 		}

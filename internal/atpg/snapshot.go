@@ -14,9 +14,9 @@ import (
 // restored from a Snapshot finishes with Stats identical to a run that
 // was never stopped. The campaign package serializes it to disk.
 type Snapshot struct {
-	Next        int  // index of the next unattempted fault
-	RandomDone  bool // the random preprocessing phase completed
-	Status      []byte
+	Next        int    // index of the next unattempted fault
+	RandomDone  bool   // the random preprocessing phase completed
+	Status      []byte // one Verdict per fault
 	Tests       [][][]sim.Val
 	Stats       Stats
 	TotalLeft   int64
@@ -72,22 +72,21 @@ func (e *Engine) buildSnapshot(rs *runLoopState) *Snapshot {
 	snap := &Snapshot{
 		Next:         rs.next,
 		RandomDone:   rs.randomDone,
-		Status:       append([]byte(nil), rs.status...),
+		Status:       make([]byte, len(rs.status)),
 		Tests:        copyTests(rs.tests),
 		Stats:        st,
 		TotalLeft:    e.totalLeft,
 		OutOfBudget:  e.outOfBudget,
-		FailedCubes:  append([]string(nil), e.failedKeys...),
-		SharedFailed: append([]string(nil), e.sharedFailedKeys...),
-		LearnedCubes: append([]LearnedCube(nil), e.lemmaList...),
+		FailedCubes:  e.failedCubes.keys(),
+		SharedFailed: e.sharedFailed.keys(),
+		LearnedCubes: e.lemmas.keys(),
 		Crashes:      append([]*FaultCrash(nil), rs.crashes...),
 	}
-	for _, k := range e.achievedKeys {
-		snap.Achieved = append(snap.Achieved, AchievedState{
-			Fault: k.fault,
-			Bits:  k.bits,
-			Seq:   copySeq(e.achieved[k.fault+fmt.Sprint(k.bits)]),
-		})
+	for i, v := range rs.status {
+		snap.Status[i] = byte(v)
+	}
+	for _, k := range e.achieved.order {
+		snap.Achieved = append(snap.Achieved, AchievedState{Fault: k.fault, Bits: k.bits, Seq: copySeq(e.achieved.m[k])})
 	}
 	return snap
 }
@@ -103,12 +102,12 @@ func (e *Engine) restoreSnapshot(snap *Snapshot, rs *runLoopState, n int) error 
 	if snap.Next < 0 || snap.Next > n {
 		return fmt.Errorf("atpg: snapshot next index %d out of range [0,%d]", snap.Next, n)
 	}
+	rs.status = make([]Verdict, n)
 	for i, st := range snap.Status {
-		if st > 4 {
+		if rs.status[i] = Verdict(st); !rs.status[i].Valid() {
 			return fmt.Errorf("atpg: snapshot status[%d] = %d is not a valid code", i, st)
 		}
 	}
-	rs.status = append([]byte(nil), snap.Status...)
 	rs.tests = copyTests(snap.Tests)
 	rs.crashes = append([]*FaultCrash(nil), snap.Crashes...)
 	rs.randomDone = snap.RandomDone
@@ -121,26 +120,12 @@ func (e *Engine) restoreSnapshot(snap *Snapshot, rs *runLoopState, n int) error 
 	e.totalLeft = snap.TotalLeft
 	e.outOfBudget = snap.OutOfBudget
 
-	e.failedCubes = make(map[string]bool, len(snap.FailedCubes))
-	e.failedKeys = append([]string(nil), snap.FailedCubes...)
-	for _, k := range e.failedKeys {
-		e.failedCubes[k] = true
-	}
-	e.sharedFailed = make(map[string]bool, len(snap.SharedFailed))
-	e.sharedFailedKeys = append([]string(nil), snap.SharedFailed...)
-	for _, k := range e.sharedFailedKeys {
-		e.sharedFailed[k] = true
-	}
-	e.lemmas = make(map[string]bool, len(snap.LearnedCubes))
-	e.lemmaList = append([]LearnedCube(nil), snap.LearnedCubes...)
-	for _, lc := range e.lemmaList {
-		e.lemmas[lemmaKey(lc)] = true
-	}
-	e.achieved = make(map[string][][]sim.Val, len(snap.Achieved))
-	e.achievedKeys = e.achievedKeys[:0]
+	e.failedCubes = setOf(snap.FailedCubes)
+	e.sharedFailed = setOf(snap.SharedFailed)
+	e.lemmas = setOf(snap.LearnedCubes)
+	e.achieved = journal[achievedKey, [][]sim.Val]{}
 	for _, a := range snap.Achieved {
-		e.achieved[a.Fault+fmt.Sprint(a.Bits)] = copySeq(a.Seq)
-		e.achievedKeys = append(e.achievedKeys, achievedKey{fault: a.Fault, bits: a.Bits})
+		e.achieved.add(achievedKey{fault: a.Fault, bits: a.Bits}, copySeq(a.Seq))
 	}
 	return nil
 }

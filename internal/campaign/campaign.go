@@ -423,15 +423,8 @@ func assemble(st *state, interrupted bool) *Result {
 		// in pass 0, the unresolved default) for the partial report.
 		for k, code := range st.snap.Status {
 			idx := st.passFaults[k]
-			var o atpg.Outcome
-			switch code {
-			case 1:
-				o = atpg.Detected
-			case 2:
-				o = atpg.Redundant
-			case 4:
-				o = atpg.Crashed
-			default:
+			o := atpg.Verdict(code).Outcome()
+			if o == atpg.Aborted {
 				continue
 			}
 			stats.Aborted--

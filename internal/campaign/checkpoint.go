@@ -290,18 +290,37 @@ func statesSet(s []uint64) map[uint64]bool {
 	return m
 }
 
+// encodeDigits renders one code per fault as a decimal digit: the
+// outcome strings of checkpoints and wire results, and a snapshot's
+// verdicts.
+func encodeDigits[T atpg.Outcome | byte](codes []T) string {
+	b := make([]byte, len(codes))
+	for i, c := range codes {
+		b[i] = '0' + byte(c)
+	}
+	return string(b)
+}
+
+// decodeDigits parses a string encodeDigits wrote, refusing the first
+// symbol whose code valid rejects.
+func decodeDigits[T atpg.Outcome | byte](s string, valid func(T) bool) ([]T, error) {
+	codes := make([]T, len(s))
+	for i := 0; i < len(s); i++ {
+		if codes[i] = T(s[i] - '0'); !valid(codes[i]) {
+			return nil, fmt.Errorf("symbol %q invalid", s[i])
+		}
+	}
+	return codes, nil
+}
+
 func encodeSnap(snap *atpg.Snapshot) *ckptSnap {
 	if snap == nil {
 		return nil
 	}
-	status := make([]byte, len(snap.Status))
-	for i, st := range snap.Status {
-		status[i] = '0' + st
-	}
 	cs := &ckptSnap{
 		Next:         snap.Next,
 		RandomDone:   snap.RandomDone,
-		Status:       string(status),
+		Status:       encodeDigits(snap.Status),
 		Tests:        encodeTests(snap.Tests),
 		TotalLeft:    snap.TotalLeft,
 		OutOfBudget:  snap.OutOfBudget,
@@ -356,13 +375,9 @@ func decodeSnap(cs *ckptSnap, passFaults int) (*atpg.Snapshot, error) {
 	if len(cs.Status) != passFaults {
 		return nil, fmt.Errorf("campaign: checkpoint snapshot covers %d faults, pass has %d", len(cs.Status), passFaults)
 	}
-	status := make([]byte, len(cs.Status))
-	for i := 0; i < len(cs.Status); i++ {
-		d := cs.Status[i] - '0'
-		if d > 4 {
-			return nil, fmt.Errorf("campaign: checkpoint status symbol %q invalid", cs.Status[i])
-		}
-		status[i] = d
+	status, err := decodeDigits(cs.Status, func(d byte) bool { return atpg.Verdict(d).Valid() })
+	if err != nil {
+		return nil, fmt.Errorf("campaign: checkpoint status %w", err)
 	}
 	tests, err := decodeTests(cs.Tests)
 	if err != nil {
@@ -397,13 +412,6 @@ func decodeSnap(cs *ckptSnap, passFaults int) (*atpg.Snapshot, error) {
 	return snap, nil
 }
 
-// negativeCounters reports a checkpoint whose across-pass or snapshot
-// effort counters fall below zero. No run writes one, so a CRC-valid
-// file that does was corrupted or forged before it was checksummed.
-func (f *ckptFile) negativeCounters() bool {
-	return f.Agg.decode().Negative() || (f.Snap != nil && f.Snap.Stats.Negative())
-}
-
 // payloadCRC computes the checksum loadState verifies: the IEEE CRC32
 // of the file's canonical JSON rendering with the Crc field zeroed.
 // Verifying against a re-marshal of the decoded struct (rather than
@@ -426,12 +434,10 @@ func payloadCRC(file ckptFile) (uint32, error) {
 // on disk — the new one, the previous one, or (rotated but not yet
 // replaced) the previous one under .prev.
 func saveState(fsys ioguard.FS, path, fp string, st *state) error {
-	outcomes := make([]byte, len(st.outcomes))
 	done := make([]byte, len(st.done))
-	for i, o := range st.outcomes {
-		outcomes[i] = '0' + byte(o)
+	for i, d := range st.done {
 		done[i] = '0'
-		if st.done[i] {
+		if d {
 			done[i] = '1'
 		}
 	}
@@ -440,7 +446,7 @@ func saveState(fsys ioguard.FS, path, fp string, st *state) error {
 		Fingerprint: fp,
 		Pass:        st.pass,
 		PassFaults:  st.passFaults,
-		Outcomes:    string(outcomes),
+		Outcomes:    encodeDigits(st.outcomes),
 		Done:        string(done),
 		Agg:         encodeAgg(st.agg),
 		States:      sortedStates(st.states),
@@ -532,6 +538,33 @@ func loadState(fsys ioguard.FS, path, fp string, n int) (st *state, fellBack boo
 	}
 }
 
+// parseCheckpoint decodes a checkpoint and checks its envelope: the
+// schema version (ErrCheckpointMismatch), the payload CRC and the
+// effort counters. No run writes a negative counter, so a CRC-valid
+// file with one was corrupted or forged before it was checksummed.
+// name labels the errors: a file's path, or "payload".
+func parseCheckpoint(data []byte, name string) (*ckptFile, error) {
+	var file ckptFile
+	if err := json.Unmarshal(data, &file); err != nil {
+		return nil, fmt.Errorf("campaign: parse checkpoint %s: %w", name, err)
+	}
+	if file.Version != checkpointVersion {
+		return nil, fmt.Errorf("%w: %s has schema version %d, this build writes %d",
+			ErrCheckpointMismatch, name, file.Version, checkpointVersion)
+	}
+	want, err := payloadCRC(file)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: checksum checkpoint %s: %w", name, err)
+	}
+	if file.Crc != want {
+		return nil, fmt.Errorf("campaign: checkpoint %s fails its CRC32 (file records %08x, payload hashes to %08x): torn write or corruption", name, file.Crc, want)
+	}
+	if file.Agg.decode().Negative() || (file.Snap != nil && file.Snap.Stats.Negative()) {
+		return nil, fmt.Errorf("campaign: checkpoint %s has negative effort counters", name)
+	}
+	return &file, nil
+}
+
 // loadGeneration reads and validates one checkpoint generation. A
 // missing file surfaces as fs.ErrNotExist; a file recorded for a
 // different campaign as ErrCheckpointMismatch; everything else is
@@ -544,20 +577,9 @@ func loadGeneration(fsys ioguard.FS, path, fp string, n int) (*state, error) {
 		}
 		return nil, fmt.Errorf("campaign: read checkpoint: %w", err)
 	}
-	var file ckptFile
-	if err := json.Unmarshal(data, &file); err != nil {
-		return nil, fmt.Errorf("campaign: parse checkpoint %s: %w", path, err)
-	}
-	if file.Version != checkpointVersion {
-		return nil, fmt.Errorf("%w: %s has schema version %d, this build writes %d",
-			ErrCheckpointMismatch, path, file.Version, checkpointVersion)
-	}
-	want, err := payloadCRC(file)
+	file, err := parseCheckpoint(data, path)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: checksum checkpoint %s: %w", path, err)
-	}
-	if file.Crc != want {
-		return nil, fmt.Errorf("campaign: checkpoint %s fails its CRC32 (file records %08x, payload hashes to %08x): torn write or corruption", path, file.Crc, want)
+		return nil, err
 	}
 	if file.Fingerprint != fp {
 		return nil, fmt.Errorf("%w: %s was recorded for fingerprint %.12s…, this run is %.12s… (different circuit, config or fault list)",
@@ -570,7 +592,6 @@ func loadGeneration(fsys ioguard.FS, path, fp string, n int) (*state, error) {
 	st := &state{
 		pass:       file.Pass,
 		passFaults: file.PassFaults,
-		outcomes:   make([]atpg.Outcome, n),
 		done:       make([]bool, n),
 		agg:        file.Agg.decode(),
 		states:     statesSet(file.States),
@@ -579,15 +600,10 @@ func loadGeneration(fsys ioguard.FS, path, fp string, n int) (*state, error) {
 	if st.pass < 0 {
 		return nil, fmt.Errorf("campaign: checkpoint pass %d invalid", st.pass)
 	}
-	if file.negativeCounters() {
-		return nil, fmt.Errorf("campaign: checkpoint %s has negative effort counters", path)
+	if st.outcomes, err = decodeDigits(file.Outcomes, atpg.Outcome.Valid); err != nil {
+		return nil, fmt.Errorf("campaign: checkpoint outcome %w", err)
 	}
 	for i := 0; i < n; i++ {
-		d := file.Outcomes[i] - '0'
-		if d > byte(atpg.Crashed) {
-			return nil, fmt.Errorf("campaign: checkpoint outcome symbol %q invalid", file.Outcomes[i])
-		}
-		st.outcomes[i] = atpg.Outcome(d)
 		switch file.Done[i] {
 		case '0':
 		case '1':

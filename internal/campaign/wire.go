@@ -46,13 +46,9 @@ type wireResult struct {
 // format. Workers call it to persist merge-ready shard verdicts; the
 // coordinator decodes the payload with DecodeResult.
 func EncodeResult(res *Result) ([]byte, error) {
-	outcomes := make([]byte, len(res.Outcomes))
-	for i, o := range res.Outcomes {
-		outcomes[i] = '0' + byte(o)
-	}
 	w := wireResult{
 		Version:            ResultWireVersion,
-		Outcomes:           string(outcomes),
+		Outcomes:           encodeDigits(res.Outcomes),
 		Tests:              encodeTests(res.Tests),
 		Crashes:            encodeCrashes(res.Crashes),
 		Passes:             res.Passes,
@@ -82,8 +78,12 @@ func DecodeResult(data []byte) (*Result, error) {
 	if w.Version != ResultWireVersion {
 		return nil, fmt.Errorf("%w: schema version %d, this build reads %d", ErrResultWire, w.Version, ResultWireVersion)
 	}
+	outcomes, err := decodeDigits(w.Outcomes, atpg.Outcome.Valid)
+	if err != nil {
+		return nil, fmt.Errorf("%w: outcome %v", ErrResultWire, err)
+	}
 	res := &Result{
-		Outcomes:           make([]atpg.Outcome, len(w.Outcomes)),
+		Outcomes:           outcomes,
 		Crashes:            decodeCrashes(w.Crashes),
 		Passes:             w.Passes,
 		Resumed:            w.Resumed,
@@ -92,13 +92,8 @@ func DecodeResult(data []byte) (*Result, error) {
 		CheckpointFailures: w.CheckpointFailures,
 	}
 	var counted atpg.Stats
-	for i := 0; i < len(w.Outcomes); i++ {
-		d := w.Outcomes[i] - '0'
-		if d > byte(atpg.Crashed) {
-			return nil, fmt.Errorf("%w: outcome symbol %q", ErrResultWire, w.Outcomes[i])
-		}
-		res.Outcomes[i] = atpg.Outcome(d)
-		counted.Tally(res.Outcomes[i])
+	for _, o := range outcomes {
+		counted.Tally(o)
 	}
 	if w.Passes < 0 || w.CheckpointFailures < 0 {
 		return nil, fmt.Errorf("%w: negative counters", ErrResultWire)
@@ -130,28 +125,12 @@ func DecodeResult(data []byte) (*Result, error) {
 
 // CheckCheckpointBytes reports whether data is a structurally sound
 // campaign checkpoint of this build's schema version: parseable JSON
-// with a verifying payload CRC and no negative effort counter. It deliberately does not check the
-// fingerprint — the caller (the fabric coordinator caching worker
-// checkpoints for re-dispatch) has no circuit in hand; the fingerprint
-// is enforced by loadState when the checkpoint is actually resumed.
+// with a verifying payload CRC and no negative effort counter. It
+// deliberately does not check the fingerprint — the caller (the fabric
+// coordinator caching worker checkpoints for re-dispatch) has no
+// circuit in hand; the fingerprint is enforced by loadState when the
+// checkpoint is actually resumed.
 func CheckCheckpointBytes(data []byte) error {
-	var file ckptFile
-	if err := json.Unmarshal(data, &file); err != nil {
-		return fmt.Errorf("campaign: parse checkpoint payload: %w", err)
-	}
-	if file.Version != checkpointVersion {
-		return fmt.Errorf("%w: payload has schema version %d, this build writes %d",
-			ErrCheckpointMismatch, file.Version, checkpointVersion)
-	}
-	want, err := payloadCRC(file)
-	if err != nil {
-		return fmt.Errorf("campaign: checksum checkpoint payload: %w", err)
-	}
-	if file.Crc != want {
-		return fmt.Errorf("campaign: checkpoint payload fails its CRC32 (records %08x, payload hashes to %08x)", file.Crc, want)
-	}
-	if file.negativeCounters() {
-		return errors.New("campaign: checkpoint payload has negative effort counters")
-	}
-	return nil
+	_, err := parseCheckpoint(data, "payload")
+	return err
 }
