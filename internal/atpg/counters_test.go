@@ -46,6 +46,19 @@ func TestStatsTally(t *testing.T) {
 	}
 }
 
+// TestVerdictCodes: the two verdict tables invert each other, a live
+// fault reads as aborted, and only the five codes are valid.
+func TestVerdictCodes(t *testing.T) {
+	for _, o := range []Outcome{Aborted, Detected, Redundant, Crashed} {
+		if v := outcomeVerdict[o]; v == verdictLive || v.Outcome() != o {
+			t.Errorf("outcome %v → verdict %d → %v", o, v, v.Outcome())
+		}
+	}
+	if verdictLive.Outcome() != Aborted || !verdictCrashed.Valid() || Verdict(5).Valid() {
+		t.Error("live verdict or the valid range is wrong")
+	}
+}
+
 // TestRollbackRestoresCounters: a fault attempt that is cancelled or
 // crashes mid-search has its counters restored as a unit, or a resumed
 // run would count that attempt's effort twice.
