@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -76,5 +77,49 @@ func TestFlushCyclesCoercion(t *testing.T) {
 	}
 	if len(e.flushPrefix) != 3 {
 		t.Errorf("FlushCycles=3 produced a %d-cycle flush prefix", len(e.flushPrefix))
+	}
+}
+
+// TestConfigCanonical pins the identity encoding campaign fingerprints
+// and result-cache digests hash: every bound field moves it, no unbound
+// field does, the exclusion list names real fields, and a Name cannot
+// fake a field boundary.
+func TestConfigCanonical(t *testing.T) {
+	typ := reflect.TypeOf(Config{})
+	for name := range unboundFields {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("unboundFields names %s, which is not a Config field", name)
+		}
+	}
+	base := Config{}
+	for _, f := range reflect.VisibleFields(typ) {
+		cfg := base
+		fv := reflect.ValueOf(&cfg).Elem().FieldByIndex(f.Index)
+		switch fv.Kind() {
+		case reflect.Bool:
+			fv.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			fv.SetInt(1)
+		case reflect.String:
+			fv.SetString("x")
+		default:
+			t.Fatalf("Config.%s has kind %s, which the encoding test does not cover", f.Name, fv.Kind())
+		}
+		moved := cfg.Canonical() != base.Canonical()
+		if moved == unboundFields[f.Name] {
+			t.Errorf("setting Config.%s: encoding moved = %v, want %v", f.Name, moved, !unboundFields[f.Name])
+		}
+	}
+
+	// Seed sorts after Name, so an unquoted Name could append it.
+	seeded := Config{Name: "x", Seed: 3}
+	for _, name := range []string{"x Seed=3", "x\nSeed=3", `x" Seed=3`, "x=\" Seed=3 \""} {
+		fake := Config{Name: name}
+		if fake.Canonical() == seeded.Canonical() {
+			t.Errorf("Name %q encodes like a Seed field: %s", name, fake.Canonical())
+		}
+		if strings.Contains(fake.Canonical(), "\n") {
+			t.Errorf("Name %q put a raw newline in the encoding", name)
+		}
 	}
 }

@@ -452,10 +452,10 @@ func checkDigest(digest string) error {
 
 // Digest derives the content address of a campaign in the given mode.
 // It composes over campaign.Fingerprint, which already encodes the
-// canonical inputs — the netlist serialization, the engine config with
-// its non-semantic fields excluded (ObliviousSim is a verification
-// mode with byte-identical results; FsimWorkers is not a config field
-// at all), the retry count and the exact fault list. Mode namespaces
+// canonical inputs — the netlist serialization, the engine config's
+// canonical encoding (atpg.Config.Canonical, which leaves out the
+// search-tuning fields; FsimWorkers is not a config field at all), the
+// retry count and the exact fault list. Mode namespaces
 // digests whose campaign inputs coincide but whose stored artifacts
 // differ: a sequential run, an N-way sharded run (the merged test
 // order depends on N) and a shard wire result are distinct entries.

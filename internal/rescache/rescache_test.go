@@ -283,8 +283,8 @@ func TestTornPutNeverVisible(t *testing.T) {
 }
 
 // TestDigest pins that the content address tracks exactly the
-// semantic campaign inputs: circuit, config, fault list and mode bind;
-// the excluded non-semantic knobs (ObliviousSim) do not.
+// semantic campaign inputs: circuit, config, fault list and mode bind.
+// Which engine fields bind is atpg.Config.Canonical's to pin.
 func TestDigest(t *testing.T) {
 	text := "INPUT(a)\nOUTPUT(z)\nd = DFF(g)\ng = AND(a, d)\nz = NOT(d)\n"
 	c, err := netlist.ReadBench(strings.NewReader(text))
@@ -313,11 +313,6 @@ func TestDigest(t *testing.T) {
 	cfg3.Engine.FaultBudget *= 2
 	if d := Digest(c, cfg3, faults, "job-seq"); d == base {
 		t.Error("engine budget does not bind")
-	}
-	cfg4 := cfg
-	cfg4.Engine.ObliviousSim = true
-	if d := Digest(c, cfg4, faults, "job-seq"); d != base {
-		t.Error("ObliviousSim perturbs the digest; it is a non-semantic verification knob")
 	}
 }
 
