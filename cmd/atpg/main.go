@@ -74,7 +74,6 @@ func run() int {
 	fsimWorkers := flag.Int("fsim-workers", 0, "fault-simulation worker count (0 = all CPUs; results are identical for every value)")
 	sharedLearn := flag.Bool("shared-learn", false, "share the justification cache across faults (implies learning; verdict-preserving under generous budgets)")
 	learnCap := flag.Int("learn-cap", 0, "size bound per learning store, oldest evicted first (0 = default 4096)")
-	obliviousSim := flag.Bool("oblivious-sim", false, "verification mode: re-derive every window simulation with a full oblivious sweep (identical results, slower)")
 	cdcl := flag.Bool("cdcl", false, "conflict-driven search: learn blocking cubes from conflicts, backjump non-chronologically, restart on a Luby schedule (verdict-preserving)")
 	schedule := flag.Bool("schedule", false, "testability-aware scheduling: order faults easy-first by predicted cost, run predicted-hard faults on concurrent big-budget queues starting at their predicted ladder rung (verdict-preserving)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
@@ -141,12 +140,7 @@ func run() int {
 	if *learnCap != 0 {
 		cfg.LearnCap = *learnCap
 	}
-	cfg.ObliviousSim = *obliviousSim
-	if *cdcl {
-		cfg.ConflictLearning = true
-		cfg.Backjump = true
-		cfg.Restarts = true
-	}
+	cfg.ConflictLearning = *cdcl
 
 	if *cpuprofile != "" {
 		pf, err := os.Create(*cpuprofile)

@@ -108,10 +108,7 @@ func BenchmarkSearch(b *testing.B) {
 			b.Run(cc.name+"/"+m.name, func(b *testing.B) {
 				var stats Stats
 				for i := 0; i < b.N; i++ {
-					e, err := New(cc.c, m.config(cc.flush))
-					if err != nil {
-						b.Fatal(err)
-					}
+					e := m.newEngine(b, cc.c, cc.flush)
 					res, err := e.RunFaults(faults)
 					if err != nil {
 						b.Fatal(err)
@@ -130,29 +127,30 @@ func BenchmarkSearch(b *testing.B) {
 type searchMode struct {
 	name   string
 	mutate func(*Config)
+	// oblivious selects the from-scratch reference simulation.
+	oblivious bool
 }
 
 // searchModes are the configurations BenchmarkSearch times and
 // TestEngineGolden pins.
 var searchModes = []searchMode{
-	{"incremental", nil},
-	{"oblivious", func(c *Config) { c.ObliviousSim = true }},
-	{"shared-cache", func(c *Config) { c.Learning = true; c.SharedLearning = true }},
+	{"incremental", nil, false},
+	{"oblivious", nil, true},
+	{"shared-cache", func(c *Config) { c.Learning = true; c.SharedLearning = true }, false},
 	{"cdcl", func(c *Config) {
 		c.Learning = true
 		c.SharedLearning = true
 		c.ConflictLearning = true
-		c.Backjump = true
-		c.Restarts = true
-	}},
+	}, false},
 }
 
-// config is the search configuration of one mode. 200k per fault is
+// newEngine builds the engine of one mode. 200k per fault is
 // deliberately tight enough that the retimed circuit's hardest fault
 // aborts under the shared cache but completes under cdcl's cheaper
 // search — the aborted-fault reduction the cdcl rows exist to
 // demonstrate.
-func (m searchMode) config(flush int) Config {
+func (m searchMode) newEngine(tb testing.TB, c *netlist.Circuit, flush int) *Engine {
+	tb.Helper()
 	cfg := Config{
 		MaxFrames: 6, MaxBackSteps: 24, BacktrackLimit: 1000,
 		FaultBudget: 200_000, FlushCycles: flush,
@@ -160,7 +158,12 @@ func (m searchMode) config(flush int) Config {
 	if m.mutate != nil {
 		m.mutate(&cfg)
 	}
-	return cfg
+	e, err := New(c, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.oblivious = m.oblivious
+	return e
 }
 
 // searchFaults is the fault list BenchmarkSearch runs: the first 24

@@ -82,11 +82,7 @@ func engineGoldenRuns(t *testing.T) []goldenRun {
 			if m.name == "oblivious" {
 				continue // identical to incremental by construction
 			}
-			e, err := New(cc.c, m.config(cc.flush))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.RunFaults(faults)
+			res, err := m.newEngine(t, cc.c, cc.flush).RunFaults(faults)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,7 +52,6 @@ func TestRollbackRestoresLearningStores(t *testing.T) {
 	cfg.Learning = true
 	cfg.SharedLearning = true
 	cfg.ConflictLearning = true
-	cfg.Backjump = true
 	e := mustEngine(t, c, cfg)
 	if _, err := e.RunFaultsCtx(context.Background(), fault.CollapsedUniverse(c)[:30]); err != nil {
 		t.Fatal(err)

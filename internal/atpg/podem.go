@@ -207,7 +207,7 @@ func (e *Engine) podem(w *window, prob problem, backtrackLimit int, db *cubeDB, 
 					// decision, a freshly fired monotone failure almost
 					// always involves the deepest decision; the skip fires
 					// on the rare shallow-support conflicts.)
-					if stored && e.cfg.Backjump {
+					if stored && e.backjump {
 						maxL := int32(0)
 						onTrail := true
 						for _, l := range lits {
@@ -241,18 +241,18 @@ func (e *Engine) podem(w *window, prob problem, backtrackLimit int, db *cubeDB, 
 	}
 
 	// settle is called after every assignment change (fresh decision,
-	// chronological flip, backjump, restart). With Backjump on it drains
+	// chronological flip, backjump, restart). With backjump on it drains
 	// stored-cube conflicts BEFORE paying for simulation: an assignment
 	// that completes a learned cube sits in a region already proven
 	// refuted, so it is unwound immediately — chains of covered flips pop
 	// whole refuted subtrees without a single simulation, which is this
 	// engine's non-chronological backtracking (each drained conflict
-	// counts as a backjump). With Backjump off the cube store is still
+	// counts as a backjump). With backjump off the cube store is still
 	// consulted, but only as a post-simulation conflict in the main loop,
 	// chronologically — the search order is identical to the baseline and
 	// the cubes never skip a simulation charge.
 	settle := func() (bool, searchOutcome) {
-		if db != nil && e.cfg.Backjump {
+		if db != nil && e.backjump {
 			for {
 				ci := db.conflict()
 				if ci < 0 {
@@ -310,7 +310,7 @@ func (e *Engine) podem(w *window, prob problem, backtrackLimit int, db *cubeDB, 
 			}
 			continue
 		}
-		if db != nil && !e.cfg.Backjump {
+		if db != nil && !e.backjump {
 			if ci := db.conflict(); ci >= 0 {
 				if ci < db.seeded {
 					e.Stats.LearnPrunes++
@@ -325,7 +325,7 @@ func (e *Engine) podem(w *window, prob problem, backtrackLimit int, db *cubeDB, 
 				continue
 			}
 		}
-		if db != nil && e.cfg.Restarts && !sawRejection && len(stack) > 0 &&
+		if db != nil && e.restarts && !sawRejection && len(stack) > 0 &&
 			learnedSinceRestart > 0 && int64(conflicts) >= lubyUnit*luby(restartRound) {
 			for len(stack) > 0 {
 				popTop()

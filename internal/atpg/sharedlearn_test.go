@@ -63,15 +63,20 @@ func TestSharedLearningVerdictInvariance(t *testing.T) {
 // plain incremental mode. This is the charge-identity property the
 // incremental rewrite is pinned by.
 func TestObliviousSimByteIdentical(t *testing.T) {
-	mutate := func(obl bool) func(*Config) {
-		return func(c *Config) {
-			c.Learning = true
-			c.SharedLearning = true
-			c.ObliviousSim = obl
+	c := synthC(t, 7, 5)
+	run := func(oblivious bool) *Result {
+		cfg := defaultCfg()
+		cfg.Learning = true
+		cfg.SharedLearning = true
+		e := mustEngine(t, c, cfg)
+		e.oblivious = oblivious
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res
 	}
-	_, inc := runOutcomes(t, 7, 5, mutate(false))
-	_, obl := runOutcomes(t, 7, 5, mutate(true))
+	inc, obl := run(false), run(true)
 	if !reflect.DeepEqual(inc.Outcomes, obl.Outcomes) {
 		t.Error("oblivious mode changed fault verdicts")
 	}
@@ -125,7 +130,7 @@ func TestSharedLearningCounters(t *testing.T) {
 func TestLearnCapBoundsStores(t *testing.T) {
 	shared := func(c *Config) { c.Learning = true; c.SharedLearning = true }
 	relaxed := func(c *Config) { shared(c); c.RelaxedJustify = true }
-	cdcl := func(c *Config) { shared(c); c.ConflictLearning = true; c.Backjump = true }
+	cdcl := func(c *Config) { shared(c); c.ConflictLearning = true }
 	for _, tc := range []struct {
 		name     string
 		states   int
