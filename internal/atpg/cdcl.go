@@ -1,7 +1,8 @@
 package atpg
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"seqatpg/internal/netlist"
 	"seqatpg/internal/sim"
@@ -31,48 +32,96 @@ type cubeLit struct {
 	val sim.Val
 }
 
-// dbCube is one stored blocking cube with its watch counter: sat counts
-// how many of its literals the current assignment satisfies, so a full
-// cube (sat == len(lits)) is detected in O(1) per assignment.
+// dbCube is one stored blocking cube: its literals are
+// lits[off:off+n] of the store's arena, and sat counts how many of
+// them the current assignment satisfies, so a full cube (sat == n) is
+// detected in O(1) per assignment. key is the cube's dedup key and
+// next the previous cube stored under the same key (-1 ends the
+// chain), so a true key collision is chained, never dropped.
 type dbCube struct {
-	lits []cubeLit
-	sat  int
+	off, n, sat, next int32
+	key               uint64
 }
 
 // cubeDB tracks the decision-variable assignment and the learned
 // blocking cubes of one search family (one fault's detect ladder, or
 // one justification step). A "conflict" is any assignment that covers a
 // stored cube: the covered region was already refuted, so the search
-// must not descend into it again.
+// must not descend into it again. Stores come from and go back to the
+// engine's cubeStores free list; a released store is cleared to exactly
+// its fresh state, keeping only the capacity of its slices and map.
 type cubeDB struct {
 	nDFF, nPI int
-	val       []int8  // per var: -1 unassigned, else the sim.Val
-	level     []int32 // per var: 1-based decision level, 0 = unassigned
+	val       []int8    // per var: -1 unassigned, else the sim.Val
+	level     []int32   // per var: 1-based decision level, 0 = unassigned
+	lits      []cubeLit // literal arena: every cube's literals, in learn order
 	cubes     []dbCube
-	byLit     map[int32][]int // literal key -> indices of cubes holding it
-	known     map[string]bool // canonical cube keys, for dedup
-	fullCount int             // cubes currently fully covered
-	capacity  int             // stored-cube bound (LearnCap)
-	seeded    int             // cubes [0, seeded) came from the shared lemma store
+	byLit     [][]int32        // per litKey: indices of cubes holding it
+	known     map[uint64]int32 // dedup key -> newest cube with that key
+	keyMask   uint64           // all ones; tests narrow it to force key collisions
+	fullCount int              // cubes currently fully covered
+	capacity  int              // stored-cube bound (LearnCap)
+	seeded    int              // cubes [0, seeded) came from the shared lemma store
 }
 
-// newCubeDB sizes a store for this engine's window geometry: state bits
-// first, then MaxFrames blocks of PIs.
-func (e *Engine) newCubeDB() *cubeDB {
-	n := len(e.c.DFFs) + e.cfg.MaxFrames*len(e.c.PIs)
+// cubeStores is an engine's reusable conflict-driven working memory: a
+// free list of cube stores, all of one window geometry (state bits
+// first, then frames blocks of PIs, so the variable space is dense),
+// and analyzeLine's scratch. generate and every justify step take a
+// store and give it back on return; justify recurses, so at most
+// MaxBackSteps+1 stores (one per justification depth, plus generate's)
+// are ever live.
+type cubeStores struct {
+	nDFF, nPI, frames int
+	capacity          int
+	free              []*cubeDB
+	line              lineScratch
+}
+
+func newCubeStores(nDFF, nPI, frames, capacity int) *cubeStores {
+	return &cubeStores{nDFF: nDFF, nPI: nPI, frames: frames, capacity: capacity}
+}
+
+// acquire returns a cleared store from the free list, or a new one.
+func (cs *cubeStores) acquire() *cubeDB {
+	if n := len(cs.free); n > 0 {
+		db := cs.free[n-1]
+		cs.free = cs.free[:n-1]
+		return db
+	}
+	n := cs.nDFF + cs.frames*cs.nPI
 	db := &cubeDB{
-		nDFF:     len(e.c.DFFs),
-		nPI:      len(e.c.PIs),
+		nDFF:     cs.nDFF,
+		nPI:      cs.nPI,
 		val:      make([]int8, n),
 		level:    make([]int32, n),
-		byLit:    map[int32][]int{},
-		known:    map[string]bool{},
-		capacity: e.cfg.LearnCap,
+		byLit:    make([][]int32, 2*n),
+		known:    map[uint64]int32{},
+		keyMask:  ^uint64(0),
+		capacity: cs.capacity,
 	}
 	for i := range db.val {
 		db.val[i] = -1
 	}
 	return db
+}
+
+// release clears a store back to its fresh state and returns it to the
+// free list: every literal list it touched, its cubes, its dedup keys
+// and its assignment.
+func (cs *cubeStores) release(db *cubeDB) {
+	for _, l := range db.lits {
+		k := litKey(l.v, l.val)
+		db.byLit[k] = db.byLit[k][:0]
+	}
+	for _, c := range db.cubes {
+		delete(db.known, c.key)
+	}
+	db.lits = db.lits[:0]
+	db.cubes = db.cubes[:0]
+	db.seeded = 0
+	db.reset()
+	cs.free = append(cs.free, db)
 }
 
 // varOf maps a pseudo-input to its decision-variable id.
@@ -102,7 +151,7 @@ func (db *cubeDB) assign(v int32, val sim.Val, level int32) {
 	for _, ci := range db.byLit[litKey(v, val)] {
 		c := &db.cubes[ci]
 		c.sat++
-		if c.sat == len(c.lits) {
+		if c.sat == c.n {
 			db.fullCount++
 		}
 	}
@@ -115,7 +164,7 @@ func (db *cubeDB) unassign(v int32) {
 	db.level[v] = 0
 	for _, ci := range db.byLit[litKey(v, val)] {
 		c := &db.cubes[ci]
-		if c.sat == len(c.lits) {
+		if c.sat == c.n {
 			db.fullCount--
 		}
 		c.sat--
@@ -143,58 +192,82 @@ func (db *cubeDB) conflict() int {
 		return -1
 	}
 	for i := range db.cubes {
-		if db.cubes[i].sat == len(db.cubes[i].lits) {
+		if db.cubes[i].sat == db.cubes[i].n {
 			return i
 		}
 	}
 	return -1
 }
 
-func cubeDBKey(lits []cubeLit) string {
-	b := make([]byte, 0, len(lits)*6)
+// litsKey hashes sorted literals to a 64-bit dedup key (FNV-1a over the
+// literal keys, then a murmur3 finalizer).
+func litsKey(lits []cubeLit) uint64 {
+	h := uint64(14695981039346656037)
 	for _, l := range lits {
-		b = append(b, byte(l.v), byte(l.v>>8), byte(l.v>>16), byte(l.v>>24), byte(l.val), '|')
+		h ^= uint64(uint32(litKey(l.v, l.val)))
+		h *= 1099511628211
 	}
-	return string(b)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
 }
 
-// learn stores a blocking cube (literals must be sorted by variable)
-// and reports whether it was actually added: duplicates and additions
-// past the capacity bound are dropped — the caller may still backjump
-// on the computed cube either way.
+// learn stores a copy of a blocking cube (literals must be sorted by
+// variable) and reports whether it was actually added: duplicates and
+// additions past the capacity bound are dropped — the caller may still
+// backjump on the computed cube either way.
 func (db *cubeDB) learn(lits []cubeLit) bool {
-	key := cubeDBKey(lits)
-	if db.known[key] {
-		return false
+	key := litsKey(lits) & db.keyMask
+	head, hit := db.known[key]
+	if !hit {
+		head = -1
+	}
+	for ci := head; ci >= 0; ci = db.cubes[ci].next {
+		if c := db.cubes[ci]; slices.Equal(db.lits[c.off:c.off+c.n], lits) {
+			return false
+		}
 	}
 	if db.capacity > 0 && len(db.cubes)-db.seeded >= db.capacity {
 		return false
 	}
-	db.known[key] = true
-	sat := 0
+	ci := int32(len(db.cubes))
+	off := int32(len(db.lits))
+	db.lits = append(db.lits, lits...)
+	sat := int32(0)
 	for _, l := range lits {
 		if db.val[l.v] == int8(l.val) {
 			sat++
 		}
-	}
-	ci := len(db.cubes)
-	db.cubes = append(db.cubes, dbCube{lits: lits, sat: sat})
-	for _, l := range lits {
 		k := litKey(l.v, l.val)
 		db.byLit[k] = append(db.byLit[k], ci)
 	}
-	if sat == len(lits) {
+	db.cubes = append(db.cubes, dbCube{off: off, n: int32(len(lits)), sat: sat, next: head, key: key})
+	db.known[key] = ci // after the append, so release finds every key it must delete
+	if int(sat) == len(lits) {
 		db.fullCount++
 	}
 	return true
 }
 
-// seedLemma installs a shared-store state cube as a blocking cube
-// before the search starts; conflicts on seeded cubes are counted as
-// shared-cache prunes. Must be called before any assignment.
-func (db *cubeDB) seedLemma(cube string) {
-	lits := make([]cubeLit, 0, len(cube))
-	for i := 0; i < len(cube) && i < db.nDFF; i++ {
+// seedLemma installs a shared-store state cube, parsed by lemmaLits, as
+// a blocking cube before the search starts; conflicts on seeded cubes
+// are counted as shared-cache prunes. Must be called before any
+// assignment.
+func (db *cubeDB) seedLemma(lits []cubeLit) {
+	if len(lits) == 0 {
+		return
+	}
+	if db.learn(lits) {
+		db.seeded = len(db.cubes)
+	}
+}
+
+// lemmaLits parses a "01X" state cube into its literals; characters
+// past the nDFF state bits, and any but '0' and '1', carry none.
+func lemmaLits(cube string, nDFF int) []cubeLit {
+	var lits []cubeLit
+	for i := 0; i < len(cube) && i < nDFF; i++ {
 		switch cube[i] {
 		case '0':
 			lits = append(lits, cubeLit{v: int32(i), val: sim.V0})
@@ -202,12 +275,7 @@ func (db *cubeDB) seedLemma(cube string) {
 			lits = append(lits, cubeLit{v: int32(i), val: sim.V1})
 		}
 	}
-	if len(lits) == 0 {
-		return
-	}
-	if db.learn(lits) {
-		db.seeded = len(db.cubes)
-	}
+	return lits
 }
 
 // witnessKind classifies what a failed problem can tell the analyzer.
@@ -241,6 +309,52 @@ func railVal(w *window, onF bool, t, p int) sim.Val {
 	return w.val(t, p).G
 }
 
+// lineNode is one (frame, position) line of an analyzeLine walk.
+type lineNode struct{ t, p int32 }
+
+// lineScratch is analyzeLine's reused working memory. Visited lines and
+// collected literals are stamped with the walk's generation, so a new
+// walk starts clean without clearing anything.
+type lineScratch struct {
+	gen    uint32
+	seen   []uint32  // per window line t*n+p: the generation that walked it
+	litGen []uint32  // per var: the generation that collected a literal on it
+	litVal []sim.Val // per var: that literal's value
+	stack  []lineNode
+	lits   []cubeLit
+}
+
+// begin starts a walk over lines window lines and vars variables.
+func (sc *lineScratch) begin(lines, vars int) {
+	sc.gen++
+	if sc.gen == 0 {
+		clear(sc.seen)
+		clear(sc.litGen)
+		sc.gen = 1
+	}
+	if len(sc.seen) < lines {
+		sc.seen = make([]uint32, lines)
+	}
+	if len(sc.litGen) < vars {
+		sc.litGen = make([]uint32, vars)
+		sc.litVal = make([]sim.Val, vars)
+	}
+	sc.stack = sc.stack[:0]
+	sc.lits = sc.lits[:0]
+}
+
+// addLit collects literal v=val, or reports false when the walk already
+// needs the opposite value on v.
+func (sc *lineScratch) addLit(v int32, val sim.Val) bool {
+	if sc.litGen[v] == sc.gen {
+		return sc.litVal[v] == val
+	}
+	sc.litGen[v] = sc.gen
+	sc.litVal[v] = val
+	sc.lits = append(sc.lits, cubeLit{v: v, val: val})
+	return true
+}
+
 // analyzeLine walks the implicit implication graph backward from a
 // known line value and collects the decision literals that force it:
 // any total assignment extending those literals reproduces the value,
@@ -250,122 +364,116 @@ func railVal(w *window, onF bool, t, p int) sim.Val {
 // no literal, which makes F-rail cubes fault-local and G-rail cubes
 // pure good-machine facts. ok=false means the walk escaped the
 // analyzable fragment (an unknown value or gate kind); the caller falls
-// back to chronological backtracking.
-func analyzeLine(w *window, onF bool, frame, pos int, db *cubeDB) ([]cubeLit, bool) {
-	type node struct{ t, p int }
-	s := w.s
-	seen := make(map[int]bool)
-	litVal := make(map[int32]sim.Val)
-	stack := []node{{frame, pos}}
-	addLit := func(v int32, val sim.Val) bool {
-		if prev, ok := litVal[v]; ok {
-			return prev == val
-		}
-		litVal[v] = val
-		return true
+// back to chronological backtracking. The literals, sorted by variable,
+// live in scratch memory until the next call.
+func (cs *cubeStores) analyzeLine(w *window, onF bool, frame, pos int, db *cubeDB) ([]cubeLit, bool) {
+	sc := &cs.line
+	sc.begin(w.k*w.n, len(db.val))
+	if !sc.walk(w, onF, lineNode{int32(frame), int32(pos)}, db) {
+		return nil, false
 	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		key := n.t*w.n + n.p
-		if seen[key] {
+	slices.SortFunc(sc.lits, func(a, b cubeLit) int { return cmp.Compare(a.v, b.v) })
+	return sc.lits, true
+}
+
+func (sc *lineScratch) walk(w *window, onF bool, root lineNode, db *cubeDB) bool {
+	s := w.s
+	sc.stack = append(sc.stack, root)
+	for len(sc.stack) > 0 {
+		n := sc.stack[len(sc.stack)-1]
+		sc.stack = sc.stack[:len(sc.stack)-1]
+		t, p := int(n.t), int(n.p)
+		key := t*w.n + p
+		if sc.seen[key] == sc.gen {
 			continue
 		}
-		seen[key] = true
-		v := railVal(w, onF, n.t, n.p)
+		sc.seen[key] = sc.gen
+		v := railVal(w, onF, t, p)
 		if v == sim.VX {
-			return nil, false
+			return false
 		}
-		// Stem injection pins the whole faulty-rail value: axiom.
-		if onF && n.p == w.fPos && w.fPin < 0 {
-			continue
-		}
-		fan := s.Fanin[s.FaninOff[n.p]:s.FaninOff[n.p+1]]
-		injected := func(pin int) bool { return onF && n.p == w.fPos && pin == w.fPin }
-		// pinVal is the effective value position n.p sees on a fanin
-		// pin, with branch-fault injection applied on the faulty rail.
-		pinVal := func(pin int) sim.Val {
-			if injected(pin) {
-				return w.fSA
+		// injPin is the fanin pin a branch fault pins on the faulty
+		// rail, -1 for none.
+		injPin := -1
+		if onF && p == w.fPos {
+			if w.fPin < 0 {
+				continue // stem injection pins the whole faulty-rail value: axiom
 			}
-			return railVal(w, onF, n.t, int(fan[pin]))
+			injPin = w.fPin
 		}
-		switch kind := s.Kind[n.p]; kind {
+		fan := s.Fanin[s.FaninOff[p]:s.FaninOff[p+1]]
+		switch kind := s.Kind[p]; kind {
 		case netlist.Const0, netlist.Const1:
 			// Constants contribute no literal.
 		case netlist.Input:
-			idx := int(s.PIAt[n.p])
-			av := w.piVals[n.t][idx]
-			if av == sim.VX || !addLit(db.varOf(pseudoInput{frame: n.t, index: idx}), av) {
-				return nil, false
+			idx := int(s.PIAt[p])
+			av := w.piVals[t][idx]
+			if av == sim.VX || !sc.addLit(db.varOf(pseudoInput{frame: t, index: idx}), av) {
+				return false
 			}
 		case netlist.DFF:
-			if injected(0) {
+			if injPin == 0 {
 				continue // D-pin fault pins the captured faulty value
 			}
-			if n.t == 0 {
-				idx := int(s.DFFAt[n.p])
+			if t == 0 {
+				idx := int(s.DFFAt[p])
 				av := w.stateVals[idx]
-				if av == sim.VX || !addLit(db.varOf(pseudoInput{isState: true, index: idx}), av) {
-					return nil, false
+				if av == sim.VX || !sc.addLit(db.varOf(pseudoInput{isState: true, index: idx}), av) {
+					return false
 				}
 			} else {
-				stack = append(stack, node{n.t - 1, int(fan[0])})
+				sc.stack = append(sc.stack, lineNode{n.t - 1, fan[0]})
 			}
 		case netlist.Buf, netlist.Output, netlist.Not:
-			if injected(0) {
+			if injPin == 0 {
 				continue
 			}
-			stack = append(stack, node{n.t, int(fan[0])})
+			sc.stack = append(sc.stack, lineNode{n.t, fan[0]})
 		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
 			ctrl, inv, _ := controlling(kind)
 			u := v
 			if inv {
 				u = sim.NotV(u)
 			}
-			if u == ctrl {
-				// One controlling fanin suffices; take the first in pin
-				// order for determinism.
-				found := false
-				for pin, f := range fan {
-					if pinVal(pin) != ctrl {
-						continue
-					}
-					if !injected(pin) {
-						stack = append(stack, node{n.t, int(f)})
-					}
+			if u != ctrl {
+				// Non-controlling output needs every fanin.
+				sc.pushFanins(n.t, fan, injPin)
+				continue
+			}
+			// One controlling fanin suffices; take the first in pin order
+			// for determinism. The pinned value a branch fault injects
+			// counts, but contributes no line to walk.
+			found := false
+			for pin, f := range fan {
+				if pin == injPin {
+					found = w.fSA == ctrl
+				} else if railVal(w, onF, t, int(f)) == ctrl {
+					sc.stack = append(sc.stack, lineNode{n.t, f})
 					found = true
+				}
+				if found {
 					break
 				}
-				if !found {
-					return nil, false
-				}
-			} else {
-				// Non-controlling output needs every fanin.
-				for pin, f := range fan {
-					if injected(pin) {
-						continue
-					}
-					stack = append(stack, node{n.t, int(f)})
-				}
+			}
+			if !found {
+				return false
 			}
 		case netlist.Xor, netlist.Xnor:
-			for pin, f := range fan {
-				if injected(pin) {
-					continue
-				}
-				stack = append(stack, node{n.t, int(f)})
-			}
+			sc.pushFanins(n.t, fan, injPin)
 		default:
-			return nil, false
+			return false
 		}
 	}
-	lits := make([]cubeLit, 0, len(litVal))
-	for v, val := range litVal {
-		lits = append(lits, cubeLit{v: v, val: val})
+	return true
+}
+
+// pushFanins queues every fanin line of a gate except the injected pin.
+func (sc *lineScratch) pushFanins(t int32, fan []int32, injPin int) {
+	for pin, f := range fan {
+		if pin != injPin {
+			sc.stack = append(sc.stack, lineNode{t, f})
+		}
 	}
-	sort.Slice(lits, func(i, j int) bool { return lits[i].v < lits[j].v })
-	return lits, true
 }
 
 // stateOnly reports whether every literal is a frame-0 state variable —
@@ -426,6 +534,14 @@ type LearnedCube struct {
 	Val  sim.Val // the forced value
 }
 
+// addLemma stores a shared lemma unless it is already there, parsing
+// its cube into literals once, here, so seeding never re-reads it.
+func (e *Engine) addLemma(lc LearnedCube) {
+	if !e.lemmas.has(lc) {
+		e.lemmas.add(lc, lemmaLits(lc.Cube, len(e.c.DFFs)))
+	}
+}
+
 // seedLemmas installs every stored lemma that contradicts a
 // justification target as a blocking cube.
 func (e *Engine) seedLemmas(db *cubeDB, targets []targetLine) {
@@ -435,7 +551,7 @@ func (e *Engine) seedLemmas(db *cubeDB, targets []targetLine) {
 		}
 		for _, t := range targets {
 			if t.bit == lc.Bit && t.val != lc.Val {
-				db.seedLemma(lc.Cube)
+				db.seedLemma(e.lemmas.m[lc])
 				break
 			}
 		}

@@ -190,9 +190,9 @@ func TestLemmaStoreSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.lemmas.add(LearnedCube{Cube: "01X", Bit: 2, Val: sim.V1}, struct{}{})
-	e.lemmas.add(LearnedCube{Cube: "X10", Bit: 0, Val: sim.V0}, struct{}{})
-	e.lemmas.add(LearnedCube{Cube: "01X", Bit: 2, Val: sim.V1}, struct{}{}) // dup
+	e.addLemma(LearnedCube{Cube: "01X", Bit: 2, Val: sim.V1})
+	e.addLemma(LearnedCube{Cube: "X10", Bit: 0, Val: sim.V0})
+	e.addLemma(LearnedCube{Cube: "01X", Bit: 2, Val: sim.V1}) // dup
 	if len(e.lemmas.order) != 2 {
 		t.Fatalf("lemma journal holds %d entries, want 2", len(e.lemmas.order))
 	}

@@ -271,8 +271,13 @@ type Engine struct {
 	sharedFailed journal[string, struct{}]
 	// lemmas is the shared learned-cube store fed by conflict analysis
 	// (SharedLearning + ConflictLearning): good-machine forced-next-state
-	// facts, sound under every fault.
-	lemmas journal[LearnedCube, struct{}]
+	// facts, sound under every fault, each with its cube parsed into
+	// literals once (addLemma), so eviction and rollback bound the
+	// parsed copies too.
+	lemmas journal[LearnedCube, []cubeLit]
+	// cdcl holds the reusable cube stores and conflict-analysis scratch
+	// of the conflict-driven search (nil without ConflictLearning).
+	cdcl *cubeStores
 
 	// cancelDone is the active run's ctx.Done(); cancelled latches once
 	// the channel closes so every subsequent charge fails fast.
@@ -339,6 +344,9 @@ func New(c *netlist.Circuit, cfg Config) (*Engine, error) {
 		gsim:     sim.NewSimulatorSoA(fsim.SoA()),
 		backjump: cfg.ConflictLearning,
 		restarts: cfg.ConflictLearning,
+	}
+	if cfg.ConflictLearning {
+		e.cdcl = newCubeStores(len(c.DFFs), len(c.PIs), cfg.MaxFrames, cfg.LearnCap)
 	}
 	e.Stats.StatesTraversed = map[uint64]bool{}
 	if err := e.computeFlush(); err != nil {
@@ -550,7 +558,8 @@ func (e *Engine) generate(f *fault.Fault) (Outcome, [][]sim.Val) {
 	// every window size (the support walk never leaves frame 0).
 	var ddb *cubeDB
 	if e.cfg.ConflictLearning {
-		ddb = e.newCubeDB()
+		ddb = e.cdcl.acquire()
+		defer e.cdcl.release(ddb)
 	}
 	outcome := e.podem(w, pre, preLimit, ddb, func() bool { return true })
 	if outcome == searchExhausted {
@@ -780,12 +789,13 @@ func (e *Engine) justify(f *fault.Fault, faultyReset []V5, cube []sim.Val, depth
 	}
 	w := e.newWin(1, f)
 	prob := &justifyProblem{targets: targets}
-	// Each justification step gets a fresh cube store (its conflicts
+	// Each justification step gets a cleared cube store (its conflicts
 	// are relative to this step's targets); the shared lemma store
 	// seeds it with every cross-fault cube contradicting a target.
 	var jdb *cubeDB
 	if e.cfg.ConflictLearning {
-		jdb = e.newCubeDB()
+		jdb = e.cdcl.acquire()
+		defer e.cdcl.release(jdb)
 		if e.cfg.SharedLearning {
 			e.seedLemmas(jdb, targets)
 		}

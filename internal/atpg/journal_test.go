@@ -70,7 +70,7 @@ func TestRollbackRestoresLearningStores(t *testing.T) {
 	e.failedCubes.add(e.failedCubes.order[0], struct{}{})
 	e.failedCubes.add("x|01", struct{}{})
 	e.sharedFailed.add("10X", struct{}{})
-	e.lemmas.add(LearnedCube{Cube: "1X0", Bit: 1, Val: sim.V1}, struct{}{})
+	e.addLemma(LearnedCube{Cube: "1X0", Bit: 1, Val: sim.V1})
 	e.Stats.Effort += 100
 	e.rollback(m)
 

@@ -171,7 +171,7 @@ func (e *Engine) podem(w *window, prob problem, backtrackLimit int, db *cubeDB, 
 			case wt.kind == witnessAlways:
 				return false, searchExhausted
 			case wt.kind == witnessLine:
-				lits, analyzed := analyzeLine(w, wt.onF, wt.frame, wt.pos, db)
+				lits, analyzed := e.cdcl.analyzeLine(w, wt.onF, wt.frame, wt.pos, db)
 				if analyzed && len(lits) == 0 {
 					// The conflict holds under the empty assignment: the
 					// problem is unsatisfiable outright.

@@ -186,7 +186,7 @@ func (p *justifyProblem) publishLemma(e *Engine, w *window, wt conflictWitness, 
 	cube := stateCubeOf(lits, len(w.stateVals))
 	for _, t := range p.targets {
 		if int(w.s.DFFD[t.bit]) == wt.pos && t.val != forced {
-			e.lemmas.add(LearnedCube{Cube: cube, Bit: t.bit, Val: forced}, struct{}{})
+			e.addLemma(LearnedCube{Cube: cube, Bit: t.bit, Val: forced})
 		}
 	}
 }

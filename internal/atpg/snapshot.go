@@ -122,7 +122,10 @@ func (e *Engine) restoreSnapshot(snap *Snapshot, rs *runLoopState, n int) error 
 
 	e.failedCubes = setOf(snap.FailedCubes)
 	e.sharedFailed = setOf(snap.SharedFailed)
-	e.lemmas = setOf(snap.LearnedCubes)
+	e.lemmas = journal[LearnedCube, []cubeLit]{}
+	for _, lc := range snap.LearnedCubes {
+		e.addLemma(lc)
+	}
 	e.achieved = journal[achievedKey, [][]sim.Val]{}
 	for _, a := range snap.Achieved {
 		e.achieved.add(achievedKey{fault: a.Fault, bits: a.Bits}, copySeq(a.Seq))

@@ -12,6 +12,7 @@
 #   BENCH_GATE=1 scripts/bench_atpg.sh  # also enforce the regression
 #                                       # gate (used by CI)
 #
+# Every row records B/op and allocs/op beside its time (-benchmem).
 # Besides the raw per-benchmark numbers the JSON carries derived
 # ratios, all on the retimed circuit (the hard half of the pair):
 #
@@ -42,7 +43,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-out=$(go test -run='^$' -bench='BenchmarkWindow|BenchmarkSearch' \
+out=$(go test -run='^$' -bench='BenchmarkWindow|BenchmarkSearch' -benchmem \
 	-benchtime="${BENCHTIME:-5x}" ./internal/atpg/)
 printf '%s\n' "$out"
 
