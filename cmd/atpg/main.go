@@ -63,7 +63,6 @@ func run() int {
 	budget := flag.Int64("budget", 0, "per-fault effort budget in gate evaluations (default: 8000 x gates)")
 	flush := flag.Int("flush", 0, "reset-hold cycles (default: measured from the circuit)")
 	showAborts := flag.Bool("aborts", false, "list the aborted faults")
-	relaxed := flag.Bool("relaxed", false, "retry failed state justifications on the good machine (recovers some aborts at extra effort)")
 	compact := flag.Bool("compact", false, "apply static compaction to the test set")
 	out := flag.String("o", "", "write the generated test vectors to this file")
 	deadline := flag.Duration("deadline", 0, "stop cooperatively after this wall-clock budget (0 = none)")
@@ -132,7 +131,6 @@ func run() int {
 		log.Printf("unknown engine %q", *engine)
 		return exitUsage
 	}
-	cfg.RelaxedJustify = *relaxed
 	if *sharedLearn {
 		cfg.Learning = true
 		cfg.SharedLearning = true

@@ -40,23 +40,20 @@ type Config struct {
 	// unjustifiable state cubes are cached and pruned, and justified
 	// states are reused.
 	Learning bool
-	// SharedLearning (requires Learning) promotes the justification
-	// caches to a cross-fault store: good-machine justification
-	// sequences (and the good-machine unjustifiability proofs only the
-	// RelaxedJustify retry produces) are reused across every fault in
-	// the run. Reuse is sound — a cube the good machine cannot reach is
-	// unreachable by the composite machine under any fault, and a cached
-	// sequence is re-verified (charged) on the composite machine before
-	// it is accepted — so under generous budgets verdicts are unchanged
-	// and only effort drops. Because a hit does change the search
-	// trajectory, the flag participates in checkpoint fingerprints and
-	// is switched off by sharded-campaign normalization (like Learning).
+	// SharedLearning (requires Learning) promotes the achieved-state
+	// cache to a cross-fault store: good-machine justification sequences
+	// are reused across every fault in the run. Reuse is sound — a
+	// cached sequence is re-verified (charged) on the composite machine
+	// before it is accepted — so under generous budgets verdicts are
+	// unchanged and only effort drops. Because a hit does change the
+	// search trajectory, the flag participates in checkpoint
+	// fingerprints and is switched off by sharded-campaign
+	// normalization (like Learning).
 	SharedLearning bool
 	// LearnCap bounds each learning store (achieved states, failed
-	// cubes, shared lemmas, per-search blocking cubes, and the shared
-	// failed cubes only RelaxedJustify fills) to this many entries,
-	// evicting oldest first at fault boundaries. Zero selects the
-	// default of 4096; negative values are rejected.
+	// cubes, shared lemmas and per-search blocking cubes) to this many
+	// entries, evicting oldest first at fault boundaries. Zero selects
+	// the default of 4096; negative values are rejected.
 	LearnCap int
 	// ConflictLearning turns PODEM into a conflict-driven search:
 	// conflicts are traced through the implication graph to blocking
@@ -68,14 +65,6 @@ type Config struct {
 	// Canonical, and unlike Learning it survives sharded-campaign
 	// normalization because each store is scoped to one fault's search.
 	ConflictLearning bool
-	// RelaxedJustify retries a failed state justification on the good
-	// machine alone (ignoring the fault's effect on the setup path).
-	// This recovers testable faults that the strict composite-machine
-	// justification rejects; it is sound because every candidate test
-	// is still confirmed by fault simulation before being accepted,
-	// but it can spend extra effort on candidates that fail
-	// confirmation.
-	RelaxedJustify bool
 	// NoFaultDrop disables cross-fault test dropping: a test generated
 	// for one fault is not fault-simulated against the rest of the
 	// list, so every fault is attacked directly. Combined with
@@ -253,7 +242,6 @@ type Engine struct {
 	// the states-traversed trace of accepted tests.
 	gsim        *sim.Simulator
 	flushPrefix [][]sim.Val
-	resetState  []sim.Val
 
 	remaining   int64 // per-fault budget remaining
 	totalLeft   int64
@@ -264,11 +252,6 @@ type Engine struct {
 	// a fault-scoped concrete state to its vectors from reset.
 	failedCubes journal[string, struct{}]
 	achieved    journal[achievedKey, [][]sim.Val]
-	// sharedFailed holds state cubes proven unjustifiable on the good
-	// machine by a complete top-level search — a cross-fault prune
-	// (SharedLearning with RelaxedJustify). It is separate from
-	// failedCubes because those entries are depth- and path-relative.
-	sharedFailed journal[string, struct{}]
 	// lemmas is the shared learned-cube store fed by conflict analysis
 	// (SharedLearning + ConflictLearning): good-machine forced-next-state
 	// facts, sound under every fault, each with its cube parsed into
@@ -389,7 +372,7 @@ func computeObsDist(c *netlist.Circuit) []int {
 	return dist
 }
 
-// computeFlush derives the reset-hold prefix and the post-flush state.
+// computeFlush derives the reset-hold prefix.
 func (e *Engine) computeFlush() error {
 	s := e.gsim
 	s.PowerUp()
@@ -408,7 +391,6 @@ func (e *Engine) computeFlush() error {
 		}
 		e.flushPrefix = append(e.flushPrefix, append([]sim.Val(nil), vec...))
 	}
-	e.resetState = s.State()
 	return nil
 }
 
@@ -571,13 +553,6 @@ func (e *Engine) generate(f *fault.Fault) (Outcome, [][]sim.Val) {
 	// prefix; bits where they disagree or stay unknown cannot serve as
 	// justification anchors.
 	faultyReset := e.faultyFlushState(f)
-	var goodReset []V5
-	if e.cfg.RelaxedJustify {
-		goodReset = make([]V5, len(e.resetState))
-		for i, v := range e.resetState {
-			goodReset[i] = vBoth(v)
-		}
-	}
 
 	for k := 1; k <= e.cfg.MaxFrames; k++ {
 		w := e.newWin(k, f)
@@ -588,12 +563,6 @@ func (e *Engine) generate(f *fault.Fault) (Outcome, [][]sim.Val) {
 			// suspended for the whole (synchronous) justification.
 			cube := w.stateView()
 			prefix, ok := e.justify(f, faultyReset, cube, e.cfg.MaxBackSteps, map[string]bool{})
-			if !ok && e.cfg.RelaxedJustify {
-				// Second chance on the good machine alone; the fault
-				// simulation below rejects any sequence the fault's
-				// presence invalidates.
-				prefix, ok = e.justify(nil, goodReset, cube, e.cfg.MaxBackSteps, map[string]bool{})
-			}
 			if !ok {
 				return false // enumerate another excitation/propagation
 			}
@@ -698,25 +667,22 @@ func compatible5(cube []sim.Val, state []V5) bool {
 }
 
 // justify searches backward for an input sequence that drives the
-// composite machine (the circuit under the target fault) from the
-// post-reset state into the cube. Returns the vectors in forward
+// composite machine (the circuit under the target fault f, never nil)
+// from the post-reset state into the cube. Returns the vectors in forward
 // application order, reset prefix NOT included. Learning caches are
 // keyed per fault — a cube justifiable in the good machine need not be
 // justifiable under a different fault — but with SharedLearning the
-// good-machine ("" key) entries are additionally consulted for every
-// fault: achieved sequences after a charged composite-machine
-// verification replay, and failed cubes directly (good-machine
-// unreachability is fault-independent: the composite machine only
-// reaches states its good rail reaches).
+// good-machine ("" key) achieved sequences are additionally consulted
+// for every fault, each after a charged composite-machine verification
+// replay.
 func (e *Engine) justify(f *fault.Fault, faultyReset []V5, cube []sim.Val, depth int, onPath map[string]bool) ([][]sim.Val, bool) {
 	if compatible5(cube, faultyReset) {
 		return nil, true
 	}
 	fkey := "" // only the learning stores read it
-	if f != nil && e.cfg.Learning {
+	if e.cfg.Learning {
 		fkey = f.String() + "|"
 	}
-	shared := e.cfg.SharedLearning && f != nil
 	if bits, ok := fullySpecified(cube); ok {
 		// Learning: a state we already know how to reach (under this
 		// fault).
@@ -725,7 +691,7 @@ func (e *Engine) justify(f *fault.Fault, faultyReset []V5, cube []sim.Val, depth
 				e.Stats.LearnHits++
 				return vecs, true
 			}
-			if shared {
+			if e.cfg.SharedLearning {
 				if vecs, ok := e.achieved.m[achievedKey{"", bits}]; ok && e.verifyJustification(f, vecs, cube) {
 					e.Stats.LearnHits++
 					e.achieved.add(achievedKey{fkey, bits}, vecs)
@@ -745,10 +711,6 @@ func (e *Engine) justify(f *fault.Fault, faultyReset []V5, cube []sim.Val, depth
 		e.Stats.LearnPrunes++
 		return nil, false
 	}
-	if shared && e.sharedFailed.has(key) {
-		e.Stats.LearnPrunes++
-		return nil, false
-	}
 	// Learning: reuse any achieved concrete state compatible with the
 	// cube — own-fault entries directly, shared good-machine entries
 	// only after composite verification.
@@ -762,7 +724,7 @@ func (e *Engine) justify(f *fault.Fault, faultyReset []V5, cube []sim.Val, depth
 				}
 				continue
 			}
-			if !shared || st.fault != "" {
+			if !e.cfg.SharedLearning || st.fault != "" {
 				continue
 			}
 			stVals := unpackState(st.bits, len(cube))
@@ -776,7 +738,6 @@ func (e *Engine) justify(f *fault.Fault, faultyReset []V5, cube []sim.Val, depth
 			}
 		}
 	}
-	topLevel := len(onPath) == 0
 	onPath[key] = true
 	defer delete(onPath, key)
 
@@ -815,7 +776,7 @@ func (e *Engine) justify(f *fault.Fault, faultyReset []V5, cube []sim.Val, depth
 		if e.cfg.Learning {
 			if bits, full := fullySpecified(cube); full {
 				e.achieved.add(achievedKey{fkey, bits}, result)
-				if e.cfg.SharedLearning && fkey != "" {
+				if e.cfg.SharedLearning {
 					// The composite machine reached bits on both rails,
 					// so the same vectors reach it on the good machine
 					// alone — publish to the shared ("" key) store.
@@ -831,12 +792,6 @@ func (e *Engine) justify(f *fault.Fault, faultyReset []V5, cube []sim.Val, depth
 	}
 	if out == searchExhausted && e.cfg.Learning {
 		e.failedCubes.add(fkey+key, struct{}{})
-		if e.cfg.SharedLearning && f == nil && topLevel && depth == e.cfg.MaxBackSteps {
-			// A complete good-machine exhaustion at full depth with no
-			// path restrictions proves the cube unreachable outright —
-			// shareable as a prune under every fault.
-			e.sharedFailed.add(key, struct{}{})
-		}
 	}
 	return nil, false
 }
@@ -883,7 +838,6 @@ func (e *Engine) capLearning() {
 	}
 	e.achieved.evict(limit)
 	e.failedCubes.evict(limit)
-	e.sharedFailed.evict(limit)
 	e.lemmas.evict(limit)
 }
 

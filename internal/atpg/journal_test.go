@@ -69,7 +69,6 @@ func TestRollbackRestoresLearningStores(t *testing.T) {
 	e.achieved.add(achievedKey{"", 6}, [][]sim.Val{{sim.V1}})
 	e.failedCubes.add(e.failedCubes.order[0], struct{}{})
 	e.failedCubes.add("x|01", struct{}{})
-	e.sharedFailed.add("10X", struct{}{})
 	e.addLemma(LearnedCube{Cube: "1X0", Bit: 1, Val: sim.V1})
 	e.Stats.Effort += 100
 	e.rollback(m)
@@ -82,7 +81,7 @@ func TestRollbackRestoresLearningStores(t *testing.T) {
 			t.Errorf("failed cube %q lost by rollback", k)
 		}
 	}
-	if e.failedCubes.has("x|01") || e.sharedFailed.has("10X") ||
+	if e.failedCubes.has("x|01") ||
 		e.lemmas.has(LearnedCube{Cube: "1X0", Bit: 1, Val: sim.V1}) || e.achieved.has(achievedKey{"x|", 5}) {
 		t.Error("rollback left a write made after the mark in a store's map")
 	}

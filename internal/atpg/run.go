@@ -67,21 +67,20 @@ type runLoopState struct {
 // is what makes checkpoint/resume exact: resuming replays the attempt
 // from scratch and takes the same deterministic path.
 type boundaryMark struct {
-	counters                                    Counters
-	totalLeft                                   int64
-	outOfBudget                                 bool
-	achieved, failedCubes, sharedFailed, lemmas int // journal lengths
+	counters                      Counters
+	totalLeft                     int64
+	outOfBudget                   bool
+	achieved, failedCubes, lemmas int // journal lengths
 }
 
 func (e *Engine) mark() boundaryMark {
 	return boundaryMark{
-		counters:     e.Stats.Counters,
-		totalLeft:    e.totalLeft,
-		outOfBudget:  e.outOfBudget,
-		achieved:     len(e.achieved.order),
-		failedCubes:  len(e.failedCubes.order),
-		sharedFailed: len(e.sharedFailed.order),
-		lemmas:       len(e.lemmas.order),
+		counters:    e.Stats.Counters,
+		totalLeft:   e.totalLeft,
+		outOfBudget: e.outOfBudget,
+		achieved:    len(e.achieved.order),
+		failedCubes: len(e.failedCubes.order),
+		lemmas:      len(e.lemmas.order),
 	}
 }
 
@@ -91,7 +90,6 @@ func (e *Engine) rollback(m boundaryMark) {
 	e.outOfBudget = m.outOfBudget
 	e.achieved.truncate(m.achieved)
 	e.failedCubes.truncate(m.failedCubes)
-	e.sharedFailed.truncate(m.sharedFailed)
 	e.lemmas.truncate(m.lemmas)
 }
 

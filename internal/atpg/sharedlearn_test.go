@@ -121,31 +121,37 @@ func TestSharedLearningCounters(t *testing.T) {
 // TestLearnCapBoundsStores: with a tiny cap every learning store must
 // actually stay bounded after the run (eviction happens at fault
 // boundaries, so the post-run size is the post-eviction size). Each
-// variant but the first names a store that an uncapped run must fill
-// past the cap, so its eviction is really exercised: the relaxed
-// good-machine retry fills the shared failed-cube store, and the
-// conflict-driven variant the shared lemma store. The latter runs on a
-// larger machine with a cap of 4, because per-search blocking cubes obey
-// the same cap and a cap of 2 starves lemma publication.
+// variant names the stores an uncapped run must fill past the cap, so
+// every store's eviction is really exercised: the shared variant fills
+// the achieved and failed-cube stores, the conflict-driven one the
+// shared lemma store. The latter runs on a larger machine with a cap of
+// 4, because per-search blocking cubes obey the same cap and a cap of 2
+// starves lemma publication.
 func TestLearnCapBoundsStores(t *testing.T) {
 	shared := func(c *Config) { c.Learning = true; c.SharedLearning = true }
-	relaxed := func(c *Config) { shared(c); c.RelaxedJustify = true }
 	cdcl := func(c *Config) { shared(c); c.ConflictLearning = true }
+	sizes := func(e *Engine) map[string]int {
+		return map[string]int{
+			"achieved":    len(e.achieved.order),
+			"failed-cube": len(e.failedCubes.order),
+			"lemma":       len(e.lemmas.order),
+		}
+	}
 	for _, tc := range []struct {
 		name     string
 		states   int
 		seed     int64
 		mutate   func(*Config)
 		limit    int
-		overfill func(*Engine) int // a store an uncapped run must fill past limit
+		overfill []string // stores an uncapped run must fill past limit
 	}{
-		{"shared", 7, 5, shared, 2, nil},
-		{"relaxed", 5, 4, relaxed, 2, func(e *Engine) int { return len(e.sharedFailed.order) }},
-		{"cdcl", 10, 2, cdcl, 4, func(e *Engine) int { return len(e.lemmas.order) }},
+		{"shared", 7, 5, shared, 2, []string{"achieved", "failed-cube"}},
+		{"cdcl", 10, 2, cdcl, 4, []string{"lemma"}},
 	} {
-		if tc.overfill != nil {
-			if e, _ := runOutcomes(t, tc.states, tc.seed, tc.mutate); tc.overfill(e) <= tc.limit {
-				t.Fatalf("%s: uncapped run stored %d entries, want more than %d", tc.name, tc.overfill(e), tc.limit)
+		e, _ := runOutcomes(t, tc.states, tc.seed, tc.mutate)
+		for _, store := range tc.overfill {
+			if n := sizes(e)[store]; n <= tc.limit {
+				t.Fatalf("%s: uncapped run stored %d %s entries, want more than %d", tc.name, n, store, tc.limit)
 			}
 		}
 		e, res := runOutcomes(t, tc.states, tc.seed, func(c *Config) { tc.mutate(c); c.LearnCap = tc.limit })
@@ -154,7 +160,6 @@ func TestLearnCapBoundsStores(t *testing.T) {
 		}
 		checkCap(t, tc.name+" achieved", &e.achieved, tc.limit)
 		checkCap(t, tc.name+" failed-cube", &e.failedCubes, tc.limit)
-		checkCap(t, tc.name+" shared failed-cube", &e.sharedFailed, tc.limit)
 		checkCap(t, tc.name+" lemma", &e.lemmas, tc.limit)
 	}
 }

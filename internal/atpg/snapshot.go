@@ -22,13 +22,10 @@ type Snapshot struct {
 	TotalLeft   int64
 	OutOfBudget bool
 	// FailedCubes and Achieved are the SEST learning caches in
-	// insertion order (empty unless Config.Learning). SharedFailed is
-	// the cross-fault good-machine unjustifiability store (empty unless
-	// Config.SharedLearning). LearnedCubes is the shared lemma store
-	// fed by conflict analysis (empty unless Config.SharedLearning and
-	// Config.ConflictLearning).
+	// insertion order (empty unless Config.Learning). LearnedCubes is
+	// the shared lemma store fed by conflict analysis (empty unless
+	// Config.SharedLearning and Config.ConflictLearning).
 	FailedCubes  []string
-	SharedFailed []string
 	Achieved     []AchievedState
 	LearnedCubes []LearnedCube
 	Crashes      []*FaultCrash
@@ -78,7 +75,6 @@ func (e *Engine) buildSnapshot(rs *runLoopState) *Snapshot {
 		TotalLeft:    e.totalLeft,
 		OutOfBudget:  e.outOfBudget,
 		FailedCubes:  e.failedCubes.keys(),
-		SharedFailed: e.sharedFailed.keys(),
 		LearnedCubes: e.lemmas.keys(),
 		Crashes:      append([]*FaultCrash(nil), rs.crashes...),
 	}
@@ -121,7 +117,6 @@ func (e *Engine) restoreSnapshot(snap *Snapshot, rs *runLoopState, n int) error 
 	e.outOfBudget = snap.OutOfBudget
 
 	e.failedCubes = setOf(snap.FailedCubes)
-	e.sharedFailed = setOf(snap.SharedFailed)
 	e.lemmas = journal[LearnedCube, []cubeLit]{}
 	for _, lc := range snap.LearnedCubes {
 		e.addLemma(lc)

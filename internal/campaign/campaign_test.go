@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -399,46 +400,64 @@ func TestCampaignCheckpointRoundTrip(t *testing.T) {
 // across-pass or snapshot effort counters are negative is corruption.
 // loadState falls back to the previous generation instead of resuming
 // with (and later reporting) negative effort, and CheckCheckpointBytes
-// refuses the payload a submitted Spec.Checkpoint would carry.
+// refuses the payload a submitted Spec.Checkpoint would carry. The same
+// holds for a version-3 checkpoint written while the engine still kept
+// a shared failed-cube store: its non-empty shared_failed no longer
+// decodes, so its CRC fails instead of the store being silently dropped.
 func TestCheckpointRejectsNegativeCounters(t *testing.T) {
+	const fp = "golden-fingerprint"
+	stale, err := os.ReadFile(filepath.Join("testdata", "checkpoint_shared_failed.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(stale, []byte(`"shared_failed": [`)) {
+		t.Fatal("checkpoint_shared_failed.json carries no shared_failed entries")
+	}
 	for _, tc := range []struct {
 		name   string
 		damage func(st *state)
+		raw    []byte // replaces the saved current generation
 	}{
-		{"agg effort", func(st *state) { st.agg.Effort = -5 }},
-		{"agg unconfirmed", func(st *state) { st.agg.Unconfirmed = -1 }},
-		{"snapshot backtracks", func(st *state) { st.snap.Stats.Backtracks = -7 }},
-		{"snapshot restarts", func(st *state) { st.snap.Stats.Restarts = -1 }},
+		{"agg effort", func(st *state) { st.agg.Effort = -5 }, nil},
+		{"agg unconfirmed", func(st *state) { st.agg.Unconfirmed = -1 }, nil},
+		{"snapshot backtracks", func(st *state) { st.snap.Stats.Backtracks = -7 }, nil},
+		{"snapshot restarts", func(st *state) { st.snap.Stats.Restarts = -1 }, nil},
+		{"shared failed cubes", func(*state) {}, stale},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ckpt := filepath.Join(t.TempDir(), "neg.ckpt")
 			good := goldenCheckpointState()
-			if err := saveState(ioguard.OS, ckpt, "fp", good); err != nil {
+			if err := saveState(ioguard.OS, ckpt, fp, good); err != nil {
 				t.Fatal(err)
 			}
 			bad := goldenCheckpointState()
 			tc.damage(bad)
-			if err := saveState(ioguard.OS, ckpt, "fp", bad); err != nil {
+			if err := saveState(ioguard.OS, ckpt, fp, bad); err != nil {
 				t.Fatal(err)
 			}
-			got, fellBack, err := loadState(ioguard.OS, ckpt, "fp", len(good.outcomes))
+			if tc.raw != nil {
+				if err := os.WriteFile(ckpt, tc.raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, fellBack, err := loadState(ioguard.OS, ckpt, fp, len(good.outcomes))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !fellBack || got.agg != good.agg || got.snap.Stats.Counters != good.snap.Stats.Counters {
-				t.Errorf("negative counters resumed: fellBack=%v agg=%+v snapshot=%+v", fellBack, got.agg, got.snap.Stats.Counters)
+				t.Errorf("damaged checkpoint resumed: fellBack=%v agg=%+v snapshot=%+v", fellBack, got.agg, got.snap.Stats.Counters)
 			}
 			data, err := os.ReadFile(ckpt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := CheckCheckpointBytes(data); err == nil {
-				t.Error("CheckCheckpointBytes accepted negative counters")
+				t.Error("CheckCheckpointBytes accepted the damaged checkpoint")
 			}
 			if err := os.Remove(ckpt + prevSuffix); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := loadState(ioguard.OS, ckpt, "fp", len(good.outcomes)); err == nil || errors.Is(err, ErrCheckpointMismatch) {
+			if _, _, err := loadState(ioguard.OS, ckpt, fp, len(good.outcomes)); err == nil || errors.Is(err, ErrCheckpointMismatch) {
 				t.Errorf("without a previous generation: err = %v, want a corruption error", err)
 			}
 		})

@@ -22,6 +22,10 @@ import (
 // file with a different version is rejected, never reinterpreted.
 // Version 2 added the payload CRC32 and the .prev generation; version 3
 // added the learned-cube store and the conflict-driven search counters.
+// Retiring the shared failed-cube store's omitempty key kept version 3:
+// every file without it keeps its bytes, and one that still carries
+// entries fails its CRC (the re-marshal omits them), so it is refused,
+// not resumed with the store silently dropped.
 const checkpointVersion = 3
 
 // prevSuffix names the previous checkpoint generation, kept so a
@@ -94,7 +98,6 @@ type ckptSnap struct {
 	TotalLeft    int64          `json:"total_left"`
 	OutOfBudget  bool           `json:"out_of_budget"`
 	FailedCubes  []string       `json:"failed_cubes,omitempty"`
-	SharedFailed []string       `json:"shared_failed,omitempty"`
 	Achieved     []ckptAchieved `json:"achieved,omitempty"`
 	LearnedCubes []ckptLemma    `json:"learned_cubes,omitempty"`
 	Crashes      []ckptCrash    `json:"crashes,omitempty"`
@@ -306,16 +309,15 @@ func encodeSnap(snap *atpg.Snapshot) *ckptSnap {
 		return nil
 	}
 	cs := &ckptSnap{
-		Next:         snap.Next,
-		RandomDone:   snap.RandomDone,
-		Status:       encodeDigits(snap.Status),
-		Tests:        encodeTests(snap.Tests),
-		TotalLeft:    snap.TotalLeft,
-		OutOfBudget:  snap.OutOfBudget,
-		FailedCubes:  snap.FailedCubes,
-		SharedFailed: snap.SharedFailed,
-		Crashes:      encodeCrashes(snap.Crashes),
-		Stats:        encodeStats(snap.Stats),
+		Next:        snap.Next,
+		RandomDone:  snap.RandomDone,
+		Status:      encodeDigits(snap.Status),
+		Tests:       encodeTests(snap.Tests),
+		TotalLeft:   snap.TotalLeft,
+		OutOfBudget: snap.OutOfBudget,
+		FailedCubes: snap.FailedCubes,
+		Crashes:     encodeCrashes(snap.Crashes),
+		Stats:       encodeStats(snap.Stats),
 	}
 	for _, a := range snap.Achieved {
 		cs.Achieved = append(cs.Achieved, ckptAchieved{
@@ -372,16 +374,15 @@ func decodeSnap(cs *ckptSnap, passFaults int) (*atpg.Snapshot, error) {
 		return nil, err
 	}
 	snap := &atpg.Snapshot{
-		Next:         cs.Next,
-		RandomDone:   cs.RandomDone,
-		Status:       status,
-		Tests:        tests,
-		TotalLeft:    cs.TotalLeft,
-		OutOfBudget:  cs.OutOfBudget,
-		FailedCubes:  cs.FailedCubes,
-		SharedFailed: cs.SharedFailed,
-		Crashes:      decodeCrashes(cs.Crashes),
-		Stats:        cs.Stats.decode(),
+		Next:        cs.Next,
+		RandomDone:  cs.RandomDone,
+		Status:      status,
+		Tests:       tests,
+		TotalLeft:   cs.TotalLeft,
+		OutOfBudget: cs.OutOfBudget,
+		FailedCubes: cs.FailedCubes,
+		Crashes:     decodeCrashes(cs.Crashes),
+		Stats:       cs.Stats.decode(),
 	}
 	for _, a := range cs.Achieved {
 		seq, err := decodeSeq(a.Seq)

@@ -60,10 +60,9 @@ func goldenCheckpointState() *state {
 			Total: 3, Detected: 1, Redundant: 1, Aborted: 1, Crashed: 1,
 			StatesTraversed: map[uint64]bool{5: true, 12: true},
 		},
-		TotalLeft:    42,
-		OutOfBudget:  true,
-		FailedCubes:  []string{"0|01X"},
-		SharedFailed: []string{"1X0"},
+		TotalLeft:   42,
+		OutOfBudget: true,
+		FailedCubes: []string{"0|01X"},
 		Achieved: []atpg.AchievedState{{
 			Fault: "g7/sa1|", Bits: 5, Seq: [][]sim.Val{{sim.V1, sim.V0, sim.VX}},
 		}},

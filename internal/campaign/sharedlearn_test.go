@@ -13,7 +13,6 @@ import (
 
 	"seqatpg/internal/atpg"
 	"seqatpg/internal/fault"
-	"seqatpg/internal/ioguard"
 )
 
 // sharedCfg is engineCfg with the cross-fault justification cache on.
@@ -21,7 +20,6 @@ func sharedCfg() atpg.Config {
 	cfg := engineCfg()
 	cfg.Learning = true
 	cfg.SharedLearning = true
-	cfg.RelaxedJustify = true
 	return cfg
 }
 
@@ -122,45 +120,6 @@ func TestRunShardedNormalizesSharedLearning(t *testing.T) {
 	}
 	if !found {
 		t.Error("sharded run did not log that it disabled the shared cache")
-	}
-}
-
-// TestCheckpointRoundTripSharedFailed: the cross-fault failed-cube
-// store survives a save/load cycle verbatim, alongside the other
-// snapshot learning stores.
-func TestCheckpointRoundTripSharedFailed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shared.ckpt")
-	snap := &atpg.Snapshot{
-		Next:         1,
-		RandomDone:   true,
-		Status:       []byte{1, 0},
-		FailedCubes:  []string{"g3:01X", "g3:0X1"},
-		SharedFailed: []string{"01X", "1XX"},
-		Stats:        atpg.Stats{Total: 2, Detected: 1, StatesTraversed: map[uint64]bool{3: true}},
-	}
-	st := &state{
-		pass:       0,
-		passFaults: []int{0, 1},
-		outcomes:   []atpg.Outcome{atpg.Detected, atpg.Aborted},
-		done:       []bool{true, false},
-		states:     map[uint64]bool{3: true},
-		snap:       snap,
-	}
-	if err := saveState(ioguard.OS, path, "fp", st); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := loadState(ioguard.OS, path, "fp", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == nil || got.snap == nil {
-		t.Fatal("loaded checkpoint lost the engine snapshot")
-	}
-	if !reflect.DeepEqual(got.snap.SharedFailed, snap.SharedFailed) {
-		t.Errorf("SharedFailed round-tripped as %v, want %v", got.snap.SharedFailed, snap.SharedFailed)
-	}
-	if !reflect.DeepEqual(got.snap.FailedCubes, snap.FailedCubes) {
-		t.Errorf("FailedCubes round-tripped as %v, want %v", got.snap.FailedCubes, snap.FailedCubes)
 	}
 }
 
