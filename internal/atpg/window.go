@@ -32,19 +32,26 @@ import (
 // its changed fanins, in exactly topological order; a change on a D
 // line marks the DFF in the next frame. One evaluator serves the drain,
 // the per-frame fallback and the full sweep. Values are stored as
-// one-byte codes (see codeOf), so a single walk over a gate's fanins
-// ORs their codes into the value set each rail sees, plus a bit telling
-// whether some pin carries a fault effect; one table lookup turns that
-// set into the output code. The same call stores the code and updates
-// the post-simulation snapshot (PO detection, D-frontier membership)
-// with bit tests on it. Callers read values as V5 through val, faninVal
-// and dLine, which decode. Whether an effect escapes
-// through a last-frame D line is not tracked per evaluation; it is
-// checked on query by scanning those D lines. Once a frame's cascade
-// reaches 3/4 of the gate count the rest of the frame is finished with
-// one oblivious sweep (mirroring the fault kernel's fallback); a full
-// sweep is also the uncharged reference pass of oblivious verification
-// mode.
+// one-byte codes (see codeOf), so ORing the codes of a gate's fanins
+// gives the value set each rail sees, plus a bit telling whether some
+// pin carries a fault effect; one table lookup turns that set into the
+// output code. A fold gate (And…Xnor up to MaxFanin wide, Buf, Not)
+// away from the fault site is read through the SoA's per-position
+// opcode (its foldTab row) and its fanins padded to four slots: unused
+// slots point at the row's sentinel slot n+1, which always holds code
+// 0, the identity of the OR and of the Xor parity, so the evaluator
+// does four unconditional loads and one lookup, with no kind switch
+// and no fanin loop. Sources, Output, wider gates and the faulted
+// position keep the kind switch over the CSR fanins. The same call
+// stores the code and updates the post-simulation snapshot (PO
+// detection, D-frontier membership) with bit tests on it. Callers read
+// values as V5 through val, faninVal and dLine, which decode. Whether
+// an effect escapes through a last-frame D line is not tracked per
+// evaluation; it is checked on query by scanning those D lines. Once a
+// frame's cascade reaches 3/4 of the gate count the rest of the frame
+// is finished with one oblivious sweep (mirroring the fault kernel's
+// fallback); a full sweep is also the uncharged reference pass of
+// oblivious verification mode.
 type window struct {
 	s   *netlist.SoA
 	n   int // positions per frame
@@ -53,7 +60,10 @@ type window struct {
 
 	piVals    [][]sim.Val // [frame][pi] assigned values; VX = unassigned
 	stateVals []sim.Val   // frame-0 pseudo-input state; VX = unassigned
-	vals      [][]uint8   // [frame][position] value codes; slot n is scratch
+	// vals holds the value codes, [frame][position]. Slot n of a row
+	// is the pin-fault scratch slot; slot n+1 is the sentinel the SoA's
+	// padded fanin slots point at, and always holds code 0.
+	vals [][]uint8
 
 	// Hoisted fault-injection site: the faulted gate's position, the
 	// pin (-1 for a stem fault) and the stuck-at value. fPos is -1 when
@@ -135,10 +145,10 @@ func newWindow(s *netlist.SoA, k int, flt *fault.Fault) *window {
 		w.piVals[t] = pis[t*nPI : (t+1)*nPI : (t+1)*nPI]
 	}
 	w.stateVals = pis[k*nPI:]
-	rows := make([]uint8, k*(n+1))
+	rows := make([]uint8, k*(n+2))
 	w.vals = make([][]uint8, k)
 	for t := range w.vals {
-		w.vals[t] = rows[t*(n+1) : (t+1)*(n+1) : (t+1)*(n+1)]
+		w.vals[t] = rows[t*(n+2) : (t+1)*(n+2) : (t+1)*(n+2)]
 	}
 	w.pend = make([]uint64, k*w.words)
 	w.lo = make([]int, k)
@@ -306,15 +316,54 @@ func (w *window) sweepAll() {
 
 // evalComposite evaluates position p of frame t on both rails with the
 // target fault injected, stores the value code, and reports whether it
-// changed. The one walk over the fanins ORs their codes, which also
-// tells whether some pin carries a fault effect, so the same call
-// updates the snapshot: PO detection, and D-frontier membership (an
-// unknown output seeing a developed effect on some pin). Membership is
-// refreshed whether or not the value changed, because it also depends
-// on the fanin values that triggered the evaluation. Only the faulted
-// position injects; a fault-free window never matches it, so its rails
-// stay equal and its snapshot stays empty.
+// changed. The OR of the fanin codes also tells whether some pin
+// carries a fault effect, so the same call updates the snapshot: PO
+// detection, and D-frontier membership (an unknown output seeing a
+// developed effect on some pin). Membership is refreshed whether or not
+// the value changed, because it also depends on the fanin values that
+// triggered the evaluation.
+//
+// A fold gate away from the fault site takes the padded path: four
+// unconditional loads through the SoA's Fan4 (unused slots read the
+// sentinel slot n+1, whose code 0 is the identity of the OR and of the
+// XOR), one foldTab lookup in the row its Op names, no kind switch and
+// no fanin loop. Sources, Output, gates wider than MaxFanin and the
+// faulted position go through evalGeneric. Only the faulted position
+// injects; a fault-free window never matches it, so its rails stay
+// equal and its snapshot stays empty.
 func (w *window) evalComposite(t, p int) bool {
+	vals := w.vals[t]
+	// m is the OR of the fanin codes: the value set of each rail in its
+	// low six bits, codeD when some pin carries D or D-bar.
+	var c, m uint8
+	if op := w.s.Op[p]; op != netlist.OpGeneric && p != w.fPos {
+		f := &w.s.Fan4[p]
+		a, b, d, e := vals[f[0]], vals[f[1]], vals[f[2]], vals[f[3]]
+		m = a | b | d | e
+		if op < uint8(netlist.Xor-netlist.And) {
+			c = foldTab[op][m&63]
+		} else {
+			c = foldTab[op][m&codeX|(a^b^d^e)&codeOne]
+		}
+	} else {
+		c, m = w.evalGeneric(t, p)
+	}
+	changed := c != vals[p]
+	vals[p] = c
+
+	// Sources walk no fanin (m == 0), so they never join the frontier.
+	if member := m&codeD != 0 && c&codeX != 0; member != w.inFrontier[t*w.n+p] {
+		w.setFrontier(t, p, member)
+	}
+	return changed
+}
+
+// evalGeneric evaluates position p of frame t by its kind over its CSR
+// fanins, injecting the target fault when p is the faulted position,
+// and keeps PO detection up to date for an Output. It returns the
+// output code and the OR of the fanin codes, as evalComposite's padded
+// path does.
+func (w *window) evalGeneric(t, p int) (c, m uint8) {
 	s := w.s
 	vals := w.vals[t]
 	fan := s.Fanin[s.FaninOff[p]:s.FaninOff[p+1]]
@@ -326,9 +375,6 @@ func (w *window) evalComposite(t, p int) bool {
 			fan = w.injectPin(t)
 		}
 	}
-	// m is the OR of the fanin codes: the value set of each rail in its
-	// low six bits, codeD when some pin carries D or D-bar.
-	var c, m uint8
 	kind := s.Kind[p]
 	switch kind {
 	case netlist.Input:
@@ -365,12 +411,8 @@ func (w *window) evalComposite(t, p int) bool {
 	if stem {
 		c = injCode[w.fSA][c]
 	}
-	changed := c != vals[p]
-	vals[p] = c
-
-	// Sources walk no fanin (m == 0), so they never join the frontier.
-	key := t*w.n + p
 	if kind == netlist.Output {
+		key := t*w.n + p
 		if d := c&codeD != 0; d != w.poD[key] {
 			w.poD[key] = d
 			if d {
@@ -380,10 +422,7 @@ func (w *window) evalComposite(t, p int) bool {
 			}
 		}
 	}
-	if member := m&codeD != 0 && c&codeX != 0; member != w.inFrontier[key] {
-		w.setFrontier(t, p, member)
-	}
-	return changed
+	return c, m
 }
 
 // injectPin prepares a pin fault for evaluating the faulted gate in

@@ -13,8 +13,8 @@ import (
 
 // randWinCircuit generates a random sequential circuit for the window
 // differential tests: a few primary inputs, DFFs rewired onto the
-// combinational cloud for real feedback, a cloud of random bounded-fanin
-// gates, and a few primary outputs.
+// combinational cloud for real feedback, a Const0 and a Const1, a cloud
+// of random bounded-fanin gates, and a few primary outputs.
 func randWinCircuit(t *testing.T, rng *rand.Rand, trial int) *netlist.Circuit {
 	t.Helper()
 	c := netlist.New(fmt.Sprintf("wrnd%d", trial))
@@ -29,6 +29,7 @@ func randWinCircuit(t *testing.T, rng *rand.Rand, trial int) *netlist.Circuit {
 		dffs = append(dffs, c.AddGate(netlist.DFF, fmt.Sprintf("q%d", i), pool[rng.Intn(len(pool))]))
 	}
 	pool = append(pool, dffs...)
+	pool = append(pool, c.AddGate(netlist.Const0, "k0"), c.AddGate(netlist.Const1, "k1"))
 	kinds := []netlist.GateType{
 		netlist.And, netlist.Or, netlist.Nand, netlist.Nor,
 		netlist.Xor, netlist.Xnor, netlist.Not, netlist.Buf,

@@ -46,6 +46,38 @@ type SoA struct {
 	// from p performs EvalGates - EvalsBefore[p] evaluations.
 	EvalGates   int
 	EvalsBefore []int32
+
+	// Op and Fan4 are a padded, kind-free view of the fold gates for
+	// evaluators that fold fanin values through one table per gate
+	// kind. Op[p] is the And…Xnor kind position p evaluates as, minus
+	// And: its own kind for And, Or, Nand, Nor, Xor and Xnor, And for
+	// Buf and Nand for Not (the one-fanin And and Nand). Sources,
+	// Output, DFF and any gate wider than MaxFanin get OpGeneric.
+	// Fan4[p] holds p's fanin positions in pin order, and the unused
+	// slots hold the pad position NumGates()+1 (all four do for a gate
+	// wider than MaxFanin). An evaluator keeps its value there at the
+	// identity of its fold, so reading all four slots unconditionally
+	// equals walking the CSR fanins. Position NumGates() is left free
+	// as caller scratch.
+	Op   []uint8
+	Fan4 [][MaxFanin]int32
+}
+
+// OpGeneric is the Op code of a position that an evaluator must
+// evaluate by its kind and CSR fanins.
+const OpGeneric uint8 = 0xff
+
+// foldOp returns the Op code of a gate of kind t with nfan fanins.
+func foldOp(t GateType, nfan int) uint8 {
+	switch {
+	case t >= And && t <= Xnor && nfan <= MaxFanin:
+		return uint8(t - And)
+	case t == Buf && nfan == 1:
+		return uint8(And - And)
+	case t == Not && nfan == 1:
+		return uint8(Nand - And)
+	}
+	return OpGeneric
 }
 
 // NewSoA flattens the circuit into a structure-of-arrays view. It
@@ -63,6 +95,8 @@ func NewSoA(c *Circuit) (*SoA, error) {
 		PIAt:        make([]int32, n),
 		DFFAt:       make([]int32, n),
 		EvalsBefore: make([]int32, n+1),
+		Op:          make([]uint8, n),
+		Fan4:        make([][MaxFanin]int32, n),
 	}
 	for p, id := range order {
 		s.Order[p] = int32(id)
@@ -86,10 +120,19 @@ func NewSoA(c *Circuit) (*SoA, error) {
 	s.Fanin = make([]int32, 0, nfan)
 	s.FoutOff = make([]int32, n+1)
 	s.Fout = make([]int32, 0, nfan)
+	pad := int32(n + 1)
 	for p, id := range order {
+		g := &c.Gates[id]
 		s.FaninOff[p] = int32(len(s.Fanin))
-		for _, f := range c.Gates[id].Fanin {
+		for _, f := range g.Fanin {
 			s.Fanin = append(s.Fanin, s.Pos[f])
+		}
+		s.Op[p] = foldOp(g.Type, len(g.Fanin))
+		for i := range s.Fan4[p] {
+			s.Fan4[p][i] = pad
+		}
+		if len(g.Fanin) <= MaxFanin {
+			copy(s.Fan4[p][:], s.Fanin[s.FaninOff[p]:])
 		}
 		s.FoutOff[p] = int32(len(s.Fout))
 		for _, o := range fanouts[id] {

@@ -113,6 +113,21 @@ func checkSoA(t *testing.T, c *Circuit) {
 				t.Fatalf("pos %d pin %d: fanin at later position %d", p, k, fan[k])
 			}
 		}
+		// Padded view: the CSR fanins, then the pad position (all pad
+		// for a gate wider than MaxFanin), and the fold row the kind
+		// evaluates as.
+		for k, f := range s.Fan4[p] {
+			want := int32(n + 1)
+			if len(fan) <= MaxFanin && k < len(fan) {
+				want = fan[k]
+			}
+			if f != want {
+				t.Fatalf("pos %d: padded slot %d holds %d, want %d", p, k, f, want)
+			}
+		}
+		if op, want := s.Op[p], wantOp(g.Type, len(g.Fanin)); op != want {
+			t.Fatalf("pos %d (%v/%d): opcode %d, want %d", p, g.Type, len(g.Fanin), op, want)
+		}
 		// Fanout CSR: exactly the non-DFF readers, all later.
 		want := map[int32]int{}
 		for oid, og := range c.Gates {
@@ -195,11 +210,81 @@ func checkSoA(t *testing.T, c *Circuit) {
 	}
 }
 
+// wantOp is the opcode table written out per kind: each fold kind its
+// own And-relative row up to MaxFanin fanins, Buf the And row and Not
+// the Nand row, everything else generic.
+func wantOp(t GateType, nfan int) uint8 {
+	switch t {
+	case And:
+		if nfan <= MaxFanin {
+			return 0
+		}
+	case Or:
+		if nfan <= MaxFanin {
+			return 1
+		}
+	case Nand:
+		if nfan <= MaxFanin {
+			return 2
+		}
+	case Nor:
+		if nfan <= MaxFanin {
+			return 3
+		}
+	case Xor:
+		if nfan <= MaxFanin {
+			return 4
+		}
+	case Xnor:
+		if nfan <= MaxFanin {
+			return 5
+		}
+	case Buf:
+		if nfan == 1 {
+			return 0
+		}
+	case Not:
+		if nfan == 1 {
+			return 2
+		}
+	}
+	return OpGeneric
+}
+
 func TestSoAView(t *testing.T) {
 	checkSoA(t, soaTestCircuit(t))
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 10; trial++ {
 		checkSoA(t, randomSoACircuit(t, rng, trial))
+	}
+}
+
+// TestSoAWideGateIsGeneric builds, with AddGate and no Validate, gates
+// wider than MaxFanin: they get the generic opcode and all-pad slots,
+// while the library-width gates beside them keep their fold rows.
+func TestSoAWideGateIsGeneric(t *testing.T) {
+	c := New("wide")
+	var ins []int
+	for i := 0; i < MaxFanin+1; i++ {
+		ins = append(ins, c.AddGate(Input, fmt.Sprintf("i%d", i)))
+	}
+	wide := c.AddGate(And, "wa", ins...)
+	narrow := c.AddGate(Or, "no", ins[:MaxFanin]...)
+	c.AddGate(Output, "o1", wide)
+	c.AddGate(Output, "o2", narrow)
+	if c.Validate() == nil {
+		t.Fatal("Validate accepted a gate wider than MaxFanin")
+	}
+	checkSoA(t, c)
+	s, err := NewSoA(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op := s.Op[s.Pos[wide]]; op != OpGeneric {
+		t.Fatalf("wide And: opcode %d, want generic", op)
+	}
+	if op := s.Op[s.Pos[narrow]]; op == OpGeneric {
+		t.Fatal("MaxFanin-wide Or got the generic opcode")
 	}
 }
 
