@@ -196,7 +196,7 @@ func run() int {
 			RungBudgets: true,
 		})
 		if err == nil {
-			res, err = campaign.Execute(ctx, c, faults, plan)
+			res, err = campaign.Execute(ctx, c, faults, plan, nil)
 		}
 	} else {
 		res, err = campaign.Run(ctx, c, faults, ccfg)

@@ -15,9 +15,9 @@ import (
 // that run as independent campaigns and merge back in canonical fault
 // order. The builders — PlanRoundRobin, PlanBalanced and PlanScheduled
 // — differ only in how they split the list and which config each
-// partition runs with. Execute runs any plan in-process; the fabric
-// coordinator dispatches the same partitions to remote workers and
-// folds their results with the same MergeShardResults and
+// partition runs with. Execute runs any plan with one of two runners:
+// in-process, or, for the fabric coordinator, on remote workers. Either
+// way the results meet in the same MergeShardResults and
 // UpgradeAborted.
 //
 // Determinism is the design constraint: the detected/aborted/redundant
@@ -113,18 +113,26 @@ func shardPlan(cfg Config, idxs [][]int) Plan {
 	return plan
 }
 
-// Execute runs a plan in-process: every non-empty partition runs
-// concurrently as a plain campaign over its sublist (its own retry
-// ladder, crash isolation and, when CheckpointPath is set, its own
-// fingerprinted checkpoint), a partition that cannot even start cancels
-// its siblings, and the results are merged in canonical fault order.
-// Unless the run was interrupted, the merge ends with the global
-// fault-drop pass the normalization deferred (UpgradeAborted).
+// Runner produces partition k's result; Execute calls it once per
+// non-empty partition, concurrently. A nil Runner runs partitions
+// in-process; the fabric coordinator's runs them on remote workers.
+type Runner func(ctx context.Context, k int, part Partition) (*Result, error)
+
+// Execute is the one executor of a plan. Every non-empty partition
+// runs concurrently through run; the first partition to fail cancels
+// its siblings and is the error reported, named by its partition (the
+// siblings' cancellation errors never are); the results are merged in
+// canonical fault order. Unless the run was interrupted, the merge ends
+// with the global fault-drop pass the normalization deferred
+// (UpgradeAborted).
 //
-// Config.Hook sees indices into faults. Hook, OnCheckpoint and
-// OnCheckpointFailure are invoked concurrently from partition workers;
+// A nil run selects the local runner: each partition runs in-process
+// as a plain campaign over its sublist (its own retry ladder, crash
+// isolation and, when CheckpointPath is set, its own fingerprinted
+// checkpoint). Config.Hook then sees indices into faults; Hook,
+// OnCheckpoint and OnCheckpointFailure are invoked concurrently, and
 // Log is serialized here before it reaches the caller.
-func Execute(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, plan Plan) (*Result, error) {
+func Execute(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, plan Plan, run Runner) (*Result, error) {
 	if len(plan) == 0 {
 		return nil, errors.New("campaign: empty plan")
 	}
@@ -136,11 +144,19 @@ func Execute(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, plan
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	if run == nil {
+		var logMu sync.Mutex
+		run = func(ctx context.Context, _ int, part Partition) (*Result, error) {
+			return part.run(ctx, c, faults, &logMu)
+		}
+	}
 
-	var logMu sync.Mutex
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
 	results := make([]*Result, len(plan))
-	errs := make([]error, len(plan))
-	var wg sync.WaitGroup
 	for k, part := range plan {
 		if len(part.Indices) == 0 {
 			continue
@@ -148,17 +164,20 @@ func Execute(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, plan
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[k], errs[k] = part.run(ctx, c, faults, &logMu)
-			if errs[k] != nil {
-				cancel()
+			res, err := run(ctx, k, part)
+			if err == nil {
+				results[k] = res
+				return
 			}
+			// Recorded before cancel: a sibling's cancellation error
+			// can only arrive after the failure that caused it.
+			errOnce.Do(func() { firstErr = fmt.Errorf("campaign: %s: %w", part.Name, err) })
+			cancel()
 		}()
 	}
 	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", plan[k].Name, err)
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 
 	merged := MergeShardResults(faults, plan.Indices(), results)

@@ -1,10 +1,15 @@
 package campaign
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"seqatpg/internal/encode"
@@ -182,6 +187,49 @@ func TestPlanPartitionsCover(t *testing.T) {
 			if len(plan) == 0 {
 				t.Fatalf("n=%d %s: empty plan", n, name)
 			}
+		}
+	}
+}
+
+// TestExecuteReportsRootCause drives Execute with a stub runner: one
+// partition fails with a sentinel error while its siblings block until
+// the executor cancels them and then return the context error, as a
+// remote shard does. Whichever partition fails, the reported error is
+// the sentinel, named by that partition, never a sibling's
+// cancellation; empty partitions never reach the runner.
+func TestExecuteReportsRootCause(t *testing.T) {
+	sentinel := errors.New("stub partition failure")
+	plan := Plan{
+		{Indices: []int{0, 3}, Name: "shard 0/4"},
+		{Name: "shard 1/4"},
+		{Indices: []int{1}, Name: "shard 2/4"},
+		{Indices: []int{2}, Name: "shard 3/4"},
+	}
+	for _, failing := range []int{0, 2, 3} {
+		var mu sync.Mutex
+		calls := map[int]int{}
+		run := func(ctx context.Context, k int, part Partition) (*Result, error) {
+			mu.Lock()
+			calls[k]++
+			mu.Unlock()
+			if len(part.Indices) == 0 {
+				t.Errorf("runner called for empty partition %d", k)
+			}
+			if k == failing {
+				return nil, sentinel
+			}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		_, err := Execute(context.Background(), nil, make([]fault.Fault, 4), plan, run)
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("partition %d failed: Execute reported %v, want the sentinel", failing, err)
+		}
+		if !strings.Contains(err.Error(), plan[failing].Name) {
+			t.Fatalf("error %q does not name the failing partition %q", err, plan[failing].Name)
+		}
+		if want := map[int]int{0: 1, 2: 1, 3: 1}; !reflect.DeepEqual(calls, want) {
+			t.Fatalf("runner calls per partition %v, want %v", calls, want)
 		}
 	}
 }

@@ -94,7 +94,7 @@ func BenchmarkSched(b *testing.B) {
 	})
 	sp := spearmanX1000(plan.Scores, base)
 
-	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1))
+	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func BenchmarkSched(b *testing.B) {
 	b.Run("retimed/unscheduled", func(b *testing.B) {
 		var res *Result
 		for i := 0; i < b.N; i++ {
-			res, err = Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1))
+			res, err = Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func retimedBench(b *testing.B) (*netlist.Circuit, int) {
 // ladderEffort charges fault f's full retry ladder under cfg.
 func ladderEffort(b *testing.B, c *netlist.Circuit, f fault.Fault, cfg Config) int64 {
 	b.Helper()
-	res, err := Execute(context.Background(), c, []fault.Fault{f}, PlanRoundRobin(cfg, 1, 1))
+	res, err := Execute(context.Background(), c, []fault.Fault{f}, PlanRoundRobin(cfg, 1, 1), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

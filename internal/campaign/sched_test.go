@@ -38,7 +38,7 @@ func runScheduled(ctx context.Context, c *netlist.Circuit, faults []fault.Fault,
 	if err != nil {
 		return nil, err
 	}
-	return Execute(ctx, c, faults, plan)
+	return Execute(ctx, c, faults, plan, nil)
 }
 
 func retimedC(t *testing.T) (*netlist.Circuit, int) {
@@ -71,7 +71,7 @@ func schedCfg(t *testing.T) (Config, *netlist.Circuit, []fault.Fault) {
 func TestScheduledMatchesSharded(t *testing.T) {
 	cfg, c, faults := schedCfg(t)
 
-	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1))
+	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func (h hardMarker) Score(fs *predict.FeatureSet, i int) float64 {
 func TestScheduledRungBudgetsVerdictInvariant(t *testing.T) {
 	cfg, c, faults := schedCfg(t)
 
-	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1))
+	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestScheduledRungBudgetsVerdictInvariant(t *testing.T) {
 	// still aborted after pass 0 paid for low rungs it out-budgeted.
 	pass0cfg := cfg
 	pass0cfg.Retries = 0
-	pass0, err := Execute(context.Background(), c, faults, PlanRoundRobin(pass0cfg, len(faults), 1))
+	pass0, err := Execute(context.Background(), c, faults, PlanRoundRobin(pass0cfg, len(faults), 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestScheduledRungBudgetsWithoutRetries(t *testing.T) {
 	cfg, c, faults := schedCfg(t)
 	cfg.Retries = 0
 
-	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1))
+	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,11 +51,10 @@ func NormalizeForSharding(cfg Config) Config {
 
 // MergeShardResults folds per-shard results back into original fault
 // order: results[k] covers exactly the faults idxs[k] selects (nil
-// entries — empty or missing shards — are skipped). This is the merge
-// Execute applies to its in-process partitions; the fabric coordinator
-// applies the identical fold to results fetched over the wire, which
-// is what keeps a distributed campaign byte-compatible with a local
-// sharded one.
+// entries — empty or missing shards — are skipped). This is Execute's
+// merge whichever runner produced the results, in-process or fetched
+// from a remote worker over the wire, which is what keeps a
+// distributed campaign byte-compatible with a local sharded one.
 func MergeShardResults(faults []fault.Fault, idxs [][]int, results []*Result) *Result {
 	merged := &Result{
 		Outcomes: make([]atpg.Outcome, len(faults)),

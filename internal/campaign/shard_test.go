@@ -35,7 +35,7 @@ func TestRunShardedShardCountInvariant(t *testing.T) {
 
 	var ref *Result
 	for _, shards := range []int{1, 2, 4} {
-		res, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), shards))
+		res, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), shards), nil)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -85,7 +85,7 @@ func TestRunShardedInterruptResume(t *testing.T) {
 	base := Config{Engine: engineCfg(), Retries: 1}
 	base.Engine.FaultBudget = 30_000
 
-	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(base, len(faults), shards))
+	ref, err := Execute(context.Background(), c, faults, PlanRoundRobin(base, len(faults), shards), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRunShardedInterruptResume(t *testing.T) {
 				cancel()
 			}
 		}
-		res, err = Execute(ctx, c, faults, PlanRoundRobin(cfg, len(faults), shards))
+		res, err = Execute(ctx, c, faults, PlanRoundRobin(cfg, len(faults), shards), nil)
 		cancel()
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestRunShardedCrashIsolation(t *testing.T) {
 				panic("injected shard crash")
 			}
 		},
-	}, len(faults), 3))
+	}, len(faults), 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +177,12 @@ func TestRunShardedRejectsBadShardCount(t *testing.T) {
 	c := synthC(t, 5, 3)
 	faults := fault.CollapsedUniverse(c)[:4]
 	for _, shards := range []int{0, -2} {
-		if _, err := Execute(context.Background(), c, faults, PlanRoundRobin(Config{Engine: engineCfg()}, len(faults), shards)); err == nil {
+		if _, err := Execute(context.Background(), c, faults, PlanRoundRobin(Config{Engine: engineCfg()}, len(faults), shards), nil); err == nil {
 			t.Errorf("shards=%d accepted", shards)
 		}
 	}
 	// More shards than faults: the empty shards are simply skipped.
-	res, err := Execute(context.Background(), c, faults, PlanRoundRobin(Config{Engine: engineCfg()}, len(faults), 8))
+	res, err := Execute(context.Background(), c, faults, PlanRoundRobin(Config{Engine: engineCfg()}, len(faults), 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

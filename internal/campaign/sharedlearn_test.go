@@ -98,7 +98,7 @@ func TestRunShardedNormalizesSharedLearning(t *testing.T) {
 
 	var ref *Result
 	for _, shards := range []int{1, 2, 3} {
-		res, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), shards))
+		res, err := Execute(context.Background(), c, faults, PlanRoundRobin(cfg, len(faults), shards), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

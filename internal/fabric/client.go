@@ -60,8 +60,8 @@ type ClientOptions struct {
 	// Probation is how long an open breaker rejects calls before
 	// half-opening for a single probe; zero selects 15s.
 	Probation time.Duration
-	// Transport is the HTTP transport (FaultRT in chaos tests); nil
-	// selects http.DefaultTransport.
+	// Transport is the HTTP transport (the chaos tests inject network
+	// faults through it); nil selects http.DefaultTransport.
 	Transport http.RoundTripper
 }
 

@@ -1,3 +1,8 @@
+// Package fabric federates ATPG campaigns across a fleet of job-service
+// workers: a Coordinator runs the same deterministic campaign.Plan a
+// local campaign.Execute runs, through Execute itself, with a runner
+// that dispatches each shard as a job over the service JSON API, so the
+// merged Result is byte-identical to a single-node Execute of the plan.
 package fabric
 
 import (
@@ -116,21 +121,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Coordinator federates one campaign across a worker fleet: it builds
-// the same campaign.Plan its workers derive from their shard selectors,
-// dispatches each shard as a job, holds it under a heartbeat-renewed
-// lease, re-dispatches lost shards from their last durable checkpoint,
-// and merges the shard results into a Result identical to a local
-// campaign.Execute of that plan.
+// Coordinator federates campaigns across a worker fleet: it runs the
+// campaign.Plan its workers derive from their shard selectors through
+// campaign.Execute with a remote runner (remoteRun) that holds each
+// dispatched shard under a heartbeat-renewed lease and re-dispatches
+// lost shards from their last durable checkpoint. It holds only fleet
+// state and counters; each Run's journal, restored results and
+// checkpoints live in that Run's runner.
 type Coordinator struct {
 	opts    Options
 	clients []*Client
 	logf    func(string, ...any)
-
-	mu       sync.Mutex
-	ckpts    map[int][]byte // shard -> newest validated checkpoint bytes
-	restored map[int]*campaign.Result
-	journal  journalFile
 
 	pickSeq        atomic.Uint64
 	leasesActive   atomic.Int64
@@ -172,8 +173,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:     opts,
 		logf:     opts.Logf,
-		ckpts:    map[int][]byte{},
-		restored: map[int]*campaign.Result{},
 		inflight: map[string]*atomic.Int64{},
 	}
 	if c.logf == nil {
@@ -221,61 +220,65 @@ func (c *Coordinator) Run(ctx context.Context, spec service.Spec) (*campaign.Res
 		return nil, err
 	}
 	fp := campaign.Fingerprint(p.Circuit, campaign.NormalizeForSharding(p.Campaign), p.Faults)
+	// Sizes Execute's merge pass; fingerprints and digests ignore it.
+	p.Campaign.FsimWorkers = c.opts.FsimWorkers
 	plan := service.ShardSel{Count: c.opts.Shards, Balanced: c.opts.Balance}.Plan(p.Campaign, p.Scores)
-	idxs := plan.Indices()
 	if c.opts.Balance {
-		c.recordPlacement(idxs, p.Scores)
+		c.recordPlacement(plan.Indices(), p.Scores)
 	}
 
 	if err := c.handshake(ctx); err != nil {
 		return nil, err
 	}
-	if err := c.loadJournal(fp); err != nil {
+	r := &remoteRun{Coordinator: c, spec: spec, p: p}
+	if err := r.loadJournal(fp); err != nil {
 		return nil, err
 	}
+	return campaign.Execute(ctx, p.Circuit, p.Faults, plan, r.run)
+}
 
-	digests := c.shardDigests(p, plan)
-	results := make([]*campaign.Result, c.opts.Shards)
-	errs := make([]error, c.opts.Shards)
-	var wg sync.WaitGroup
-	for k := 0; k < c.opts.Shards; k++ {
-		if len(idxs[k]) == 0 {
-			continue
-		}
-		if res := c.restoredResult(k, len(idxs[k])); res != nil {
-			c.logf("fabric: shard %d/%d restored from journal", k, c.opts.Shards)
-			results[k] = res
-			continue
-		}
-		if res := c.cachedShardResult(digests[k], len(idxs[k])); res != nil {
-			c.logf("fabric: shard %d/%d served from the result cache", k, c.opts.Shards)
-			results[k] = res
-			c.recordDone(k, res)
-			continue
-		}
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			results[k], errs[k] = c.driveShard(ctx, spec, k, len(idxs[k]))
-			if errs[k] == nil && results[k] != nil {
-				c.storeShardResult(digests[k], results[k])
-			}
-		}(k)
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fabric: shard %d/%d: %w", k, c.opts.Shards, err)
-		}
-	}
+// remoteRun is one Run's partition runner and the state it owns: the
+// journal, the shard results it restored, and each shard's newest
+// validated checkpoint.
+type remoteRun struct {
+	*Coordinator
+	spec service.Spec
+	p    *service.Prepared
 
-	merged := campaign.MergeShardResults(p.Faults, idxs, results)
-	if !merged.Interrupted {
-		if err := campaign.UpgradeAborted(p.Circuit, p.Faults, merged, c.opts.FsimWorkers); err != nil {
-			return nil, fmt.Errorf("fabric: merge fault simulation: %w", err)
-		}
+	mu       sync.Mutex
+	journal  journalFile
+	restored map[int]*campaign.Result
+	ckpts    map[int][]byte
+}
+
+// run produces shard k's result: restored from the journal, served
+// from the result cache, or driven on a worker and then cached.
+func (r *remoteRun) run(ctx context.Context, k int, part campaign.Partition) (*campaign.Result, error) {
+	n := len(part.Indices)
+	// restored is read-only once loadJournal returns. A stale journal
+	// whose shard sizes no longer match restores nothing.
+	if res := r.restored[k]; res != nil && len(res.Outcomes) == n {
+		r.shardsRestored.Add(1)
+		r.logf("fabric: %s restored from journal", part.Name)
+		return res, nil
 	}
-	return merged, nil
+	// Addressed by the shard job's own inputs, so any partition
+	// producing the same sublist shares the entry.
+	digest := ""
+	if r.opts.Cache != nil {
+		digest = rescache.Digest(r.p.Circuit, part.Config, part.Sublist(r.p.Faults), "wire-shard")
+	}
+	if res := r.cachedShardResult(digest, n); res != nil {
+		r.logf("fabric: %s served from the result cache", part.Name)
+		r.recordDone(k, res)
+		return res, nil
+	}
+	res, err := r.driveShard(ctx, k, n)
+	if err != nil {
+		return nil, err
+	}
+	r.storeShardResult(digest, res)
+	return res, nil
 }
 
 // recordPlacement publishes the predicted load spread of a balanced
@@ -317,24 +320,6 @@ func satInt64(v float64) int64 {
 		return 0
 	}
 	return int64(v)
-}
-
-// shardDigests derives each shard's content address from its exact
-// fault sublist and the normalized config — the same inputs the shard
-// job computes from, so the digest is shard-count-agnostic: any
-// partition producing the same sublist shares the cache entry.
-func (c *Coordinator) shardDigests(p *service.Prepared, plan campaign.Plan) []string {
-	digests := make([]string, len(plan))
-	if c.opts.Cache == nil {
-		return digests
-	}
-	for k, part := range plan {
-		if len(part.Indices) == 0 {
-			continue
-		}
-		digests[k] = rescache.Digest(p.Circuit, part.Config, part.Sublist(p.Faults), "wire-shard")
-	}
-	return digests
 }
 
 // cachedShardResult consults the cross-campaign result cache for a
@@ -411,18 +396,18 @@ func (c *Coordinator) handshake(ctx context.Context) error {
 
 // driveShard drives one shard to completion: dispatch, lease-watch,
 // re-dispatch on loss, bounded by MaxRedispatch.
-func (c *Coordinator) driveShard(ctx context.Context, base service.Spec, k, wantFaults int) (*campaign.Result, error) {
+func (r *remoteRun) driveShard(ctx context.Context, k, wantFaults int) (*campaign.Result, error) {
 	avoid := ""
-	for attempt := 0; attempt < c.opts.MaxRedispatch; attempt++ {
+	for attempt := 0; attempt < r.opts.MaxRedispatch; attempt++ {
 		if attempt > 0 {
-			c.redispatch.Add(1)
-			c.logf("fabric: shard %d re-dispatch %d/%d", k, attempt, c.opts.MaxRedispatch-1)
+			r.redispatch.Add(1)
+			r.logf("fabric: shard %d re-dispatch %d/%d", k, attempt, r.opts.MaxRedispatch-1)
 		}
-		cl, err := c.pickWorker(ctx, avoid)
+		cl, err := r.pickWorker(ctx, avoid)
 		if err != nil {
 			return nil, err
 		}
-		res, lost, err := c.dispatchOnce(ctx, cl, base, k, wantFaults)
+		res, lost, err := r.dispatchOnce(ctx, cl, k, wantFaults)
 		if err != nil && !lost {
 			return nil, err
 		}
@@ -434,7 +419,7 @@ func (c *Coordinator) driveShard(ctx context.Context, base service.Spec, k, want
 		}
 		avoid = cl.URL()
 	}
-	return nil, fmt.Errorf("%w after %d dispatches", ErrShardExhausted, c.opts.MaxRedispatch)
+	return nil, fmt.Errorf("%w after %d dispatches", ErrShardExhausted, r.opts.MaxRedispatch)
 }
 
 // pickWorker selects the least-loaded worker whose breaker admits
@@ -483,51 +468,53 @@ func (c *Coordinator) pickWorker(ctx context.Context, avoid string) (*Client, er
 // lease. It returns (result, false, nil) on completion, (nil, true, _)
 // when the lease was lost and the shard should be re-dispatched, and a
 // hard error only for conditions re-dispatching cannot fix.
-func (c *Coordinator) dispatchOnce(ctx context.Context, cl *Client, base service.Spec, k, wantFaults int) (*campaign.Result, bool, error) {
-	spec := base
-	spec.Shard = &service.ShardSel{Index: k, Count: c.opts.Shards, Balanced: c.opts.Balance}
+func (r *remoteRun) dispatchOnce(ctx context.Context, cl *Client, k, wantFaults int) (*campaign.Result, bool, error) {
+	spec := r.spec
+	spec.Shard = &service.ShardSel{Index: k, Count: r.opts.Shards, Balanced: r.opts.Balance}
 	if spec.Name == "" {
 		spec.Name = "fabric"
 	}
-	spec.Name = fmt.Sprintf("%s-shard%d-of-%d", spec.Name, k, c.opts.Shards)
-	spec.Checkpoint = c.cachedCheckpoint(k)
+	spec.Name = fmt.Sprintf("%s-shard%d-of-%d", spec.Name, k, r.opts.Shards)
+	r.mu.Lock()
+	spec.Checkpoint = r.ckpts[k]
+	r.mu.Unlock()
 
 	id, err := cl.Submit(ctx, spec)
 	if err != nil {
-		c.logf("fabric: shard %d: submit to %s failed: %v", k, cl.URL(), err)
+		r.logf("fabric: shard %d: submit to %s failed: %v", k, cl.URL(), err)
 		return nil, true, err
 	}
-	c.logf("fabric: shard %d dispatched to %s as %s (%d bytes of checkpoint)", k, cl.URL(), id, len(spec.Checkpoint))
+	r.logf("fabric: shard %d dispatched to %s as %s (%d bytes of checkpoint)", k, cl.URL(), id, len(spec.Checkpoint))
 
-	inf := c.inflight[cl.URL()]
+	inf := r.inflight[cl.URL()]
 	inf.Add(1)
-	c.leasesActive.Add(1)
+	r.leasesActive.Add(1)
 	defer func() {
 		inf.Add(-1)
-		c.leasesActive.Add(-1)
+		r.leasesActive.Add(-1)
 	}()
 
-	lease := time.Now().Add(c.opts.Lease)
+	lease := time.Now().Add(r.opts.Lease)
 	var lastState service.State
 	var lastProgress int64 = -1
 	for {
 		select {
 		case <-ctx.Done():
-			c.cancelJob(cl, id)
+			r.cancelJob(cl, id)
 			return nil, false, ctx.Err()
-		case <-time.After(c.opts.Heartbeat):
+		case <-time.After(r.opts.Heartbeat):
 		}
 
 		st, err := cl.Status(ctx, id)
 		if err != nil {
 			if ctx.Err() != nil {
-				c.cancelJob(cl, id)
+				r.cancelJob(cl, id)
 				return nil, false, ctx.Err()
 			}
-			c.logf("fabric: shard %d: heartbeat to %s failed: %v", k, cl.URL(), err)
+			r.logf("fabric: shard %d: heartbeat to %s failed: %v", k, cl.URL(), err)
 			if time.Now().After(lease) {
-				c.logf("fabric: shard %d: lease expired on unreachable %s, re-dispatching", k, cl.URL())
-				c.cancelJob(cl, id)
+				r.logf("fabric: shard %d: lease expired on unreachable %s, re-dispatching", k, cl.URL())
+				r.cancelJob(cl, id)
 				return nil, true, err
 			}
 			continue
@@ -538,38 +525,38 @@ func (c *Coordinator) dispatchOnce(ctx context.Context, cl *Client, base service
 		// polls but whose job is wedged still loses the lease.
 		progress := st.Attempts + st.CheckpointWrites + int64(st.Pass)
 		if st.State != lastState || progress > lastProgress || st.State == service.Queued {
-			lease = time.Now().Add(c.opts.Lease)
+			lease = time.Now().Add(r.opts.Lease)
 			lastState, lastProgress = st.State, progress
 		}
 
 		if st.State == service.Running {
-			c.fetchCheckpoint(ctx, cl, id, k)
+			r.fetchCheckpoint(ctx, cl, id, k)
 		}
 
 		switch {
 		case st.State == service.Done:
 			res, err := cl.ShardResult(ctx, id)
 			if err != nil {
-				c.logf("fabric: shard %d: result fetch from %s failed: %v", k, cl.URL(), err)
+				r.logf("fabric: shard %d: result fetch from %s failed: %v", k, cl.URL(), err)
 				return nil, true, err
 			}
 			if len(res.Outcomes) != wantFaults {
 				return nil, false, fmt.Errorf("fabric: shard %d result covers %d faults, want %d", k, len(res.Outcomes), wantFaults)
 			}
-			c.recordDone(k, res)
-			if c.opts.OnShardDone != nil {
-				c.opts.OnShardDone(k, cl.URL())
+			r.recordDone(k, res)
+			if r.opts.OnShardDone != nil {
+				r.opts.OnShardDone(k, cl.URL())
 			}
-			c.logf("fabric: shard %d done on %s", k, cl.URL())
+			r.logf("fabric: shard %d done on %s", k, cl.URL())
 			return res, false, nil
 		case st.State == service.Failed, st.State == service.Cancelled:
-			c.logf("fabric: shard %d %s on %s: %s", k, st.State, cl.URL(), st.Error)
+			r.logf("fabric: shard %d %s on %s: %s", k, st.State, cl.URL(), st.Error)
 			return nil, true, fmt.Errorf("fabric: shard %d %s on worker: %s", k, st.State, st.Error)
 		}
 
 		if time.Now().After(lease) {
-			c.logf("fabric: shard %d: lease expired (job %s stuck in %s on %s), re-dispatching", k, id, st.State, cl.URL())
-			c.cancelJob(cl, id)
+			r.logf("fabric: shard %d: lease expired (job %s stuck in %s on %s), re-dispatching", k, id, st.State, cl.URL())
+			r.cancelJob(cl, id)
 			return nil, true, fmt.Errorf("fabric: shard %d lease expired", k)
 		}
 	}
@@ -586,41 +573,35 @@ func (c *Coordinator) cancelJob(cl *Client, id string) {
 // fetchCheckpoint pulls the shard's newest checkpoint, validates its
 // CRC, and caches it (durably when Dir is set). Invalid or stale bytes
 // are dropped: a torn response must never poison the re-dispatch seed.
-func (c *Coordinator) fetchCheckpoint(ctx context.Context, cl *Client, id string, k int) {
+func (r *remoteRun) fetchCheckpoint(ctx context.Context, cl *Client, id string, k int) {
 	data, err := cl.Checkpoint(ctx, id)
 	if err != nil {
 		if !errors.Is(err, ErrNoCheckpoint) && ctx.Err() == nil {
-			c.logf("fabric: shard %d: checkpoint fetch from %s failed: %v", k, cl.URL(), err)
+			r.logf("fabric: shard %d: checkpoint fetch from %s failed: %v", k, cl.URL(), err)
 		}
 		return
 	}
 	if err := campaign.CheckCheckpointBytes(data); err != nil {
-		c.logf("fabric: shard %d: discarding invalid checkpoint from %s: %v", k, cl.URL(), err)
+		r.logf("fabric: shard %d: discarding invalid checkpoint from %s: %v", k, cl.URL(), err)
 		return
 	}
-	c.mu.Lock()
-	changed := string(c.ckpts[k]) != string(data)
+	r.mu.Lock()
+	changed := string(r.ckpts[k]) != string(data)
 	if changed {
-		c.ckpts[k] = data
+		r.ckpts[k] = data
 	}
-	c.mu.Unlock()
+	r.mu.Unlock()
 	if !changed {
 		return
 	}
-	if c.opts.Dir != "" {
-		if err := ioguard.WriteFileDurable(c.opts.FS, c.shardCkptPath(k), data, 0o644); err != nil {
-			c.logf("fabric: shard %d: persisting checkpoint failed: %v", k, err)
+	if r.opts.Dir != "" {
+		if err := ioguard.WriteFileDurable(r.opts.FS, r.shardCkptPath(k), data, 0o644); err != nil {
+			r.logf("fabric: shard %d: persisting checkpoint failed: %v", k, err)
 		}
 	}
-	if c.opts.OnShardCheckpoint != nil {
-		c.opts.OnShardCheckpoint(k, cl.URL(), data)
+	if r.opts.OnShardCheckpoint != nil {
+		r.opts.OnShardCheckpoint(k, cl.URL(), data)
 	}
-}
-
-func (c *Coordinator) cachedCheckpoint(k int) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ckpts[k]
 }
 
 func (c *Coordinator) shardCkptPath(k int) string {
@@ -639,54 +620,55 @@ func (c *Coordinator) journalPath() string {
 // fingerprint. Matching state restores finished shard results and
 // cached checkpoints; state from a different campaign or shard count
 // is ignored (and will be overwritten as this run progresses).
-func (c *Coordinator) loadJournal(fp string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.journal = journalFile{Version: journalVersion, Fingerprint: fp, Shards: c.opts.Shards, Balanced: c.opts.Balance}
-	if c.opts.Dir == "" {
+func (r *remoteRun) loadJournal(fp string) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.journal = journalFile{Version: journalVersion, Fingerprint: fp, Shards: r.opts.Shards, Balanced: r.opts.Balance}
+	r.restored, r.ckpts = map[int]*campaign.Result{}, map[int][]byte{}
+	if r.opts.Dir == "" {
 		return nil
 	}
-	if err := c.opts.FS.MkdirAll(c.opts.Dir, 0o755); err != nil {
+	if err := r.opts.FS.MkdirAll(r.opts.Dir, 0o755); err != nil {
 		return fmt.Errorf("fabric: coordinator dir: %w", err)
 	}
-	data, err := c.opts.FS.ReadFile(c.journalPath())
+	data, err := r.opts.FS.ReadFile(r.journalPath())
 	if err != nil {
-		c.startFreshLocked()
+		r.startFreshLocked()
 		return nil
 	}
 	var j journalFile
 	if err := json.Unmarshal(data, &j); err != nil || j.Version != journalVersion {
-		c.logf("fabric: ignoring unreadable coordinator journal: %v", err)
-		c.startFreshLocked()
+		r.logf("fabric: ignoring unreadable coordinator journal: %v", err)
+		r.startFreshLocked()
 		return nil
 	}
-	if j.Fingerprint != fp || j.Shards != c.opts.Shards || j.Balanced != c.opts.Balance {
-		c.logf("fabric: journal belongs to a different campaign (or shard count/placement), starting fresh")
-		c.startFreshLocked()
+	if j.Fingerprint != fp || j.Shards != r.opts.Shards || j.Balanced != r.opts.Balance {
+		r.logf("fabric: journal belongs to a different campaign (or shard count/placement), starting fresh")
+		r.startFreshLocked()
 		return nil
 	}
 	for _, k := range j.Done {
-		data, err := c.opts.FS.ReadFile(c.shardResultPath(k))
+		data, err := r.opts.FS.ReadFile(r.shardResultPath(k))
 		if err != nil {
-			c.logf("fabric: journal marks shard %d done but its result is unreadable: %v", k, err)
+			r.logf("fabric: journal marks shard %d done but its result is unreadable: %v", k, err)
 			continue
 		}
 		res, err := campaign.DecodeResult(data)
 		if err != nil {
-			c.logf("fabric: journal shard %d result is corrupt, re-dispatching: %v", k, err)
+			r.logf("fabric: journal shard %d result is corrupt, re-dispatching: %v", k, err)
 			continue
 		}
-		c.restored[k] = res
-		c.journal.Done = append(c.journal.Done, k)
+		r.restored[k] = res
+		r.journal.Done = append(r.journal.Done, k)
 	}
 	// Cached checkpoints seed re-dispatch of the unfinished shards.
-	for k := 0; k < c.opts.Shards; k++ {
-		if c.restored[k] != nil {
+	for k := 0; k < r.opts.Shards; k++ {
+		if r.restored[k] != nil {
 			continue
 		}
-		if data, err := c.opts.FS.ReadFile(c.shardCkptPath(k)); err == nil {
+		if data, err := r.opts.FS.ReadFile(r.shardCkptPath(k)); err == nil {
 			if campaign.CheckCheckpointBytes(data) == nil {
-				c.ckpts[k] = data
+				r.ckpts[k] = data
 			}
 		}
 	}
@@ -696,64 +678,51 @@ func (c *Coordinator) loadJournal(fp string) error {
 // startFreshLocked scrubs shard state left by a different campaign and
 // writes this run's journal immediately, so checkpoints cached before
 // the first shard finishes are still fingerprint-bound on restart.
-// c.mu held.
-func (c *Coordinator) startFreshLocked() {
+// r.mu held.
+func (r *remoteRun) startFreshLocked() {
 	for _, pat := range []string{"shard*.ckpt", "shard*.result.json"} {
-		stale, _ := c.opts.FS.Glob(filepath.Join(c.opts.Dir, pat))
+		stale, _ := r.opts.FS.Glob(filepath.Join(r.opts.Dir, pat))
 		for _, p := range stale {
-			_ = c.opts.FS.Remove(p)
+			_ = r.opts.FS.Remove(p)
 		}
 	}
-	c.persistJournalLocked()
-}
-
-// restoredResult hands back a journal-restored shard result, guarding
-// against a stale journal whose shard sizes no longer match.
-func (c *Coordinator) restoredResult(k, wantFaults int) *campaign.Result {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	res := c.restored[k]
-	if res == nil || len(res.Outcomes) != wantFaults {
-		return nil
-	}
-	c.shardsRestored.Add(1)
-	return res
+	r.persistJournalLocked()
 }
 
 // recordDone persists a finished shard's result and journals it, so a
 // restarted coordinator re-dispatches only the unfinished shards.
-func (c *Coordinator) recordDone(k int, res *campaign.Result) {
-	if c.opts.Dir == "" {
+func (r *remoteRun) recordDone(k int, res *campaign.Result) {
+	if r.opts.Dir == "" {
 		return
 	}
 	data, err := campaign.EncodeResult(res)
 	if err != nil {
-		c.logf("fabric: shard %d: encoding result for the journal failed: %v", k, err)
+		r.logf("fabric: shard %d: encoding result for the journal failed: %v", k, err)
 		return
 	}
-	if err := ioguard.WriteFileDurable(c.opts.FS, c.shardResultPath(k), data, 0o644); err != nil {
-		c.logf("fabric: shard %d: persisting result failed: %v", k, err)
+	if err := ioguard.WriteFileDurable(r.opts.FS, r.shardResultPath(k), data, 0o644); err != nil {
+		r.logf("fabric: shard %d: persisting result failed: %v", k, err)
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, d := range c.journal.Done {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, d := range r.journal.Done {
 		if d == k {
 			return
 		}
 	}
-	c.journal.Done = append(c.journal.Done, k)
-	sort.Ints(c.journal.Done)
-	c.persistJournalLocked()
+	r.journal.Done = append(r.journal.Done, k)
+	sort.Ints(r.journal.Done)
+	r.persistJournalLocked()
 }
 
-// persistJournalLocked writes the journal file durably; c.mu held.
-func (c *Coordinator) persistJournalLocked() {
-	jdata, err := json.MarshalIndent(c.journal, "", " ")
+// persistJournalLocked writes the journal file durably; r.mu held.
+func (r *remoteRun) persistJournalLocked() {
+	jdata, err := json.MarshalIndent(r.journal, "", " ")
 	if err == nil {
-		err = ioguard.WriteFileDurable(c.opts.FS, c.journalPath(), append(jdata, '\n'), 0o644)
+		err = ioguard.WriteFileDurable(r.opts.FS, r.journalPath(), append(jdata, '\n'), 0o644)
 	}
 	if err != nil {
-		c.logf("fabric: journal write failed: %v", err)
+		r.logf("fabric: journal write failed: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -132,7 +133,7 @@ func reference(t *testing.T, spec service.Spec, shards int) *campaign.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Execute(context.Background(), p.Circuit, p.Faults, campaign.PlanRoundRobin(p.Campaign, len(p.Faults), shards))
+	res, err := campaign.Execute(context.Background(), p.Circuit, p.Faults, campaign.PlanRoundRobin(p.Campaign, len(p.Faults), shards), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,5 +553,93 @@ func TestFabricMetricsHandler(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestFabricCoordinatorReuseAcrossCampaigns runs two different
+// campaigns through one coordinator over one durable state directory.
+// The second campaign's journal check finds a foreign fingerprint and
+// starts fresh, so none of the first campaign's finished shards may
+// reach its merge: the result must equal the second campaign's own
+// single-node run.
+func TestFabricCoordinatorReuseAcrossCampaigns(t *testing.T) {
+	w0, w1 := startWorker(t, nil), startWorker(t, nil)
+	dir := t.TempDir()
+	const shards = 3
+	opts := Options{
+		Workers:   []string{w0.url(), w1.url()},
+		Shards:    shards,
+		Lease:     5 * time.Second,
+		Heartbeat: 10 * time.Millisecond,
+		Dir:       dir,
+		Client:    chaosClientOptions(),
+		Logf:      t.Logf,
+	}
+	first := service.Spec{Name: "reuse", Netlist: benchText(t, 5, 9), MaxFaults: 8}
+	second := service.Spec{Name: "reuse", Netlist: benchText(t, 5, 10), MaxFaults: 8}
+
+	coord0, err := NewCoordinator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord0.Run(context.Background(), first); err != nil {
+		t.Fatal(err)
+	}
+
+	coord1, err := NewCoordinator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord1.Run(context.Background(), first); err != nil {
+		t.Fatal(err)
+	}
+	if got := coord1.Metrics().ShardsRestoredTotal; got != shards {
+		t.Fatalf("rerun of the same campaign restored %d shards, want %d", got, shards)
+	}
+
+	got, err := coord1.Run(context.Background(), second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertConverged(t, got, reference(t, second, shards))
+	if n := coord1.Metrics().ShardsRestoredTotal; n != shards {
+		t.Fatalf("a different campaign restored %d more shards from the previous campaign's journal", n-shards)
+	}
+}
+
+// TestFabricFleetFailureReportsRootCause runs a campaign whose only
+// worker is dead. Each shard burns its dispatches or finds every
+// breaker open past probation; the first such failure cancels the
+// sibling shards, and Run must report it, not a sibling's
+// cancellation, and leave no lease active.
+func TestFabricFleetFailureReportsRootCause(t *testing.T) {
+	spec := service.Spec{Name: "dead-fleet", Netlist: benchText(t, 4, 7), MaxFaults: 6}
+	w := startWorker(t, nil)
+	w.kill()
+	clOpts := chaosClientOptions()
+	clOpts.Probation = 50 * time.Millisecond
+	coord, err := NewCoordinator(Options{
+		Workers:       []string{w.url()},
+		Shards:        3,
+		Lease:         200 * time.Millisecond,
+		Heartbeat:     10 * time.Millisecond,
+		MaxRedispatch: 3,
+		Client:        clOpts,
+		Logf:          t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	_, err = coord.Run(ctx, spec)
+	if err == nil {
+		t.Fatal("a campaign on a dead fleet completed")
+	}
+	if !errors.Is(err, ErrNoWorkers) && !errors.Is(err, ErrShardExhausted) || errors.Is(err, context.Canceled) {
+		t.Fatalf("Run reported %v, want the fleet failure (ErrNoWorkers or ErrShardExhausted)", err)
+	}
+	if n := coord.Metrics().LeasesActive; n != 0 {
+		t.Fatalf("leases_active=%d after the failed run, want 0", n)
 	}
 }

@@ -1,17 +1,10 @@
-// Package fabric federates ATPG campaigns across a fleet of job-service
-// workers: a coordinator splits a campaign into the shards of the same
-// deterministic campaign.Plan a local campaign.Execute runs, dispatches
-// them as jobs over the service JSON API, holds each dispatched shard
-// under a heartbeat-renewed lease, re-dispatches lost shards from their
-// last durable checkpoint, and merges the per-shard results into a
-// global Result byte-identical to a single-node Execute of that plan.
-//
-// Robustness is the design center, so the package also ships its own
-// chaos instrumentation: FaultRT mirrors ioguard.FaultFS at the
-// network layer — a fault-injecting http.RoundTripper that can fail
-// the Nth request, add latency, tear response bodies, or blackhole a
-// worker until released — which makes multi-node failure scenarios
-// scripted and deterministic instead of racy.
+// FaultRT is the chaos tests' network-fault injector. It mirrors
+// ioguard.FaultFS at the network layer: a fault-injecting
+// http.RoundTripper that can fail the Nth request, add latency, tear
+// response bodies, or blackhole a worker until released, which makes
+// multi-node failure scenarios scripted and deterministic instead of
+// racy.
+
 package fabric
 
 import (

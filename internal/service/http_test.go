@@ -201,7 +201,7 @@ func TestServeEndToEndRestartResume(t *testing.T) {
 
 	// With the first process fully stopped, verify A's sharded result
 	// against a direct Execute of the same prepared spec.
-	refA, err := campaign.Execute(context.Background(), pA.Circuit, pA.Faults, campaign.PlanRoundRobin(pA.Campaign, len(pA.Faults), pA.Shards))
+	refA, err := campaign.Execute(context.Background(), pA.Circuit, pA.Faults, campaign.PlanRoundRobin(pA.Campaign, len(pA.Faults), pA.Shards), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1008,7 +1008,7 @@ func (s *Server) runJob(ctx context.Context, j *job, p *Prepared) {
 	case s.testRunCampaign != nil:
 		res, err = s.testRunCampaign(ctx, j, ccfg)
 	case p.Shards > 1:
-		res, err = campaign.Execute(ctx, p.Circuit, p.Faults, campaign.PlanRoundRobin(ccfg, len(p.Faults), p.Shards))
+		res, err = campaign.Execute(ctx, p.Circuit, p.Faults, campaign.PlanRoundRobin(ccfg, len(p.Faults), p.Shards), nil)
 	default:
 		res, err = campaign.Run(ctx, p.Circuit, p.Faults, ccfg)
 	}
