@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -131,17 +132,39 @@ func (e *Engine) RunFaultsCtx(ctx context.Context, faults []fault.Fault) (*Resul
 	return res, err
 }
 
-// ResumeFaults is the full-control run entry point: it starts (from ==
-// nil) or resumes (from != nil) a fault-list run, reports progress at
-// fault boundaries via onBoundary, and — when interrupted — returns
-// the Snapshot of the last completed boundary alongside the partial
-// Result. A run restored from that Snapshot on a fresh engine with the
-// same Config finishes with Stats identical to a never-interrupted run.
+// ResumeFaults starts (from == nil) or resumes (from != nil) a run
+// over a fixed fault list: RunSource over Fixed(faults).
 func (e *Engine) ResumeFaults(ctx context.Context, faults []fault.Fault, from *Snapshot, onBoundary BoundaryFunc) (*Result, *Snapshot, error) {
+	return e.RunSource(ctx, Fixed(faults), from, onBoundary, nil)
+}
+
+// RunSource is the one run loop. It starts (from == nil) or resumes
+// (from != nil, which needs a closed source) a run over src, reports
+// progress at fault boundaries via onBoundary, and — when interrupted
+// — returns the Snapshot of the last completed boundary alongside the
+// partial Result. A run restored from that Snapshot on a fresh engine
+// with the same Config finishes with Stats identical to a
+// never-interrupted run.
+//
+// An open source is read as it grows: the loop waits for fault i when
+// it gets there, and for the whole list before the random phase and
+// before its first fault-drop pass, which re-tests every live fault of
+// the list. Snapshots cover the whole list, so while src is open the
+// boundary snapshot func returns nil, and so does an interrupted run.
+//
+// onAbort, when set, is called with the list position of every
+// Aborted verdict as the loop assigns it, in list order. The drop pass
+// re-tests only live faults, so the verdict is final. A restored run
+// first reports the aborts its Snapshot already holds.
+func (e *Engine) RunSource(ctx context.Context, src *FaultSource, from *Snapshot, onBoundary BoundaryFunc, onAbort func(i int)) (*Result, *Snapshot, error) {
+	faults, closed := src.contents()
 	rs := &runLoopState{status: make([]Verdict, len(faults))}
 	e.Stats.Total = len(faults)
 	e.totalLeft = e.cfg.TotalBudget
 	if from != nil {
+		if !closed {
+			return nil, nil, errors.New("atpg: a run resumes only over a closed fault source")
+		}
 		if err := e.restoreSnapshot(from, rs, len(faults)); err != nil {
 			return nil, nil, err
 		}
@@ -150,9 +173,44 @@ func (e *Engine) ResumeFaults(ctx context.Context, faults []fault.Fault, from *S
 	e.cancelled = false
 	defer func() { e.cancelDone = nil }()
 
+	// grow extends the verdicts over faults that arrived since the
+	// last look; a new fault is live.
+	grow := func() {
+		rs.status = append(rs.status, make([]Verdict, len(faults)-len(rs.status))...)
+		e.Stats.Total = len(faults)
+	}
+	// await is src.await under the run's cancellation, plus grow.
+	await := func(n int, all bool) bool {
+		var ok bool
+		faults, closed, ok = src.await(e.cancelDone, n, all)
+		grow()
+		return ok
+	}
+	snapshot := func() *Snapshot {
+		faults, closed = src.contents()
+		grow()
+		if !closed {
+			return nil
+		}
+		return e.buildSnapshot(rs)
+	}
 	boundary := func(done int) {
 		if onBoundary != nil {
-			onBoundary(done, len(faults), func() *Snapshot { return e.buildSnapshot(rs) })
+			onBoundary(done, len(faults), snapshot)
+		}
+	}
+	// settle assigns fault i its verdict and reports an abort.
+	settle := func(i int, v Verdict) {
+		rs.status[i] = v
+		if v == verdictAborted && onAbort != nil {
+			onAbort(i)
+		}
+	}
+	if onAbort != nil {
+		for i := 0; i < rs.next; i++ {
+			if rs.status[i] == verdictAborted {
+				onAbort(i)
+			}
 		}
 	}
 
@@ -200,6 +258,9 @@ func (e *Engine) ResumeFaults(ctx context.Context, faults []fault.Fault, from *S
 	// with respect to checkpointing: a cancellation mid-phase rolls the
 	// whole phase back, and a resumed run replays it from the start.
 	if e.cfg.RandomSequences > 0 && !rs.randomDone {
+		if !await(0, true) {
+			return e.assembleResult(rs, true), nil, nil
+		}
 		m := e.mark()
 		savedStatus := append([]Verdict(nil), rs.status...)
 		savedTests := len(rs.tests)
@@ -247,17 +308,30 @@ func (e *Engine) ResumeFaults(ctx context.Context, faults []fault.Fault, from *S
 	}
 
 	// Deterministic phase.
-	i := rs.next
-	for ; i < len(faults); i++ {
+	interrupted := false
+	for i := rs.next; ; i++ {
+		if i == len(faults) {
+			if closed {
+				break
+			}
+			if !await(i, false) {
+				interrupted = true
+				break
+			}
+			if i == len(faults) {
+				break // closed with no further fault
+			}
+		}
 		if rs.status[i] != verdictLive {
 			rs.next = i + 1
 			continue
 		}
 		if e.checkCancel() {
+			interrupted = true
 			break // fault i stays unattempted; rs.next points at it
 		}
 		if e.outOfBudget {
-			rs.status[i] = verdictAborted
+			settle(i, verdictAborted)
 			e.Stats.Aborted++
 			rs.next = i + 1
 			boundary(i + 1)
@@ -273,6 +347,7 @@ func (e *Engine) ResumeFaults(ctx context.Context, faults []fault.Fault, from *S
 			// fired because of the early aborts) and let the resumed
 			// run replay the fault in full.
 			e.rollback(m)
+			interrupted = true
 			break
 		}
 		if crash != nil {
@@ -285,8 +360,15 @@ func (e *Engine) ResumeFaults(ctx context.Context, faults []fault.Fault, from *S
 			boundary(i + 1)
 			continue
 		}
+		if outcome == Detected && !e.cfg.NoFaultDrop && !closed && !await(0, true) {
+			// The drop pass needs the whole list, and the run was
+			// cancelled before it was complete: replay the fault too.
+			e.rollback(m)
+			interrupted = true
+			break
+		}
 		e.Stats.Tally(outcome)
-		rs.status[i] = outcomeVerdict[outcome]
+		settle(i, outcomeVerdict[outcome])
 		if outcome == Detected {
 			rs.tests = append(rs.tests, seq)
 			recordStates(seq)
@@ -304,12 +386,11 @@ func (e *Engine) ResumeFaults(ctx context.Context, faults []fault.Fault, from *S
 		boundary(i + 1)
 	}
 
-	interrupted := i < len(faults)
 	res := e.assembleResult(rs, interrupted)
 	if !interrupted {
 		return res, nil, nil
 	}
-	return res, e.buildSnapshot(rs), nil
+	return res, snapshot(), nil
 }
 
 // assembleResult maps verdicts to outcomes and copies the stats.

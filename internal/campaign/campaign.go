@@ -14,6 +14,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"time"
 
 	"seqatpg/internal/atpg"
@@ -53,12 +54,16 @@ type Config struct {
 	Resume bool
 	// Hook is forwarded to every engine pass as its TestHook, with the
 	// index remapped to the original fault list. Test instrumentation
-	// only; it is not fingerprinted. Under Execute it is invoked
+	// only; it is not fingerprinted. The passes of a campaign overlap,
+	// so hooks of different passes interleave, but Run serializes
+	// Hook and Log: no two calls overlap. Under Execute it is invoked
 	// concurrently from all partition workers.
 	Hook func(index int, f fault.Fault)
 	// Log, when set, receives progress lines (pass starts, checkpoint
-	// writes, crash notices). Execute serializes concurrent partition
-	// logging before it reaches this callback.
+	// writes, crash notices). Run serializes it with Hook, and logs a
+	// pass's start line when the previous pass finishes. Execute
+	// serializes concurrent partition logging before it reaches this
+	// callback.
 	Log func(format string, args ...any)
 	// OnCheckpoint, when set, is called after every successful
 	// checkpoint write (periodic, pass-boundary or interruption).
@@ -252,8 +257,10 @@ func (c Config) passConfig(p int) atpg.Config {
 
 // Run executes a campaign over the fault list. It returns a non-nil
 // Result unless setup fails (bad config, unreadable checkpoint,
-// un-buildable engine); interruption is reported in the Result, not as
-// an error.
+// un-buildable engine; of several failing passes, the lowest-numbered
+// one's error); interruption is reported in the Result, not as an
+// error. The retry passes overlap (see ladder); Run returns once every
+// pass it started has exited.
 func Run(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -286,96 +293,266 @@ func Run(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, cfg Conf
 		st = freshState(len(faults))
 	}
 
+	if st.pass > cfg.Retries || len(st.passFaults) == 0 {
+		return finish(cfg, st), nil
+	}
+	if ctx.Err() != nil {
+		return finishInterrupted(ctx, cfg, fp, st)
+	}
 	every := cfg.CheckpointEvery
 	if every <= 0 {
 		every = 30 * time.Second
 	}
-	lastWrite := time.Now()
+	l := &ladder{c: c, faults: faults, cfg: cfg.serialized(), fp: fp, st: st, every: every, lastWrite: time.Now()}
+	l.runPass = l.runEngine
+	return l.run(ctx)
+}
 
-	for st.pass <= cfg.Retries && len(st.passFaults) > 0 {
-		if ctx.Err() != nil {
-			return finishInterrupted(ctx, cfg, fp, st)
-		}
-		ecfg := cfg.passConfig(st.pass)
-		e, err := atpg.New(c, ecfg)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: pass %d: %w", st.pass, err)
-		}
-		e.SetFaultSimWorkers(cfg.fsimWorkers())
-		if cfg.Hook != nil {
-			local := st.passFaults
-			hook := cfg.Hook
-			e.TestHook = func(i int, f fault.Fault) { hook(local[i], f) }
-		}
-		sub := make([]fault.Fault, len(st.passFaults))
-		for k, idx := range st.passFaults {
-			sub[k] = faults[idx]
-		}
-		cfg.logf("campaign: pass %d: %d faults, per-fault budget %d", st.pass, len(sub), ecfg.FaultBudget)
-
-		onBoundary := func(done, total int, snapshot func() *atpg.Snapshot) {
-			if cfg.CheckpointPath == "" || time.Since(lastWrite) < every {
-				return
-			}
-			st.snap = snapshot()
-			if cfg.writeCheckpoint(fp, st) {
-				cfg.logf("campaign: checkpoint at pass %d, %d/%d faults", st.pass, done, total)
-			}
-			// Advance the clock on failure too: retry at the next
-			// interval, not at every fault boundary of a full disk.
-			lastWrite = time.Now()
-		}
-
-		res, snap, err := e.ResumeFaults(ctx, sub, st.snap, onBoundary)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: pass %d: %w", st.pass, err)
-		}
-		if res.Interrupted {
-			st.snap = snap
-			return finishInterrupted(ctx, cfg, fp, st)
-		}
-
-		// Merge the completed pass.
-		st.snap = nil
-		for k, idx := range st.passFaults {
-			st.outcomes[idx] = res.Outcomes[k]
-			st.done[idx] = true
-		}
-		st.agg.Add(res.Stats.Counters)
-		for s := range res.Stats.StatesTraversed {
-			st.states[s] = true
-		}
-		st.tests = append(st.tests, res.Tests...)
-		for _, cr := range res.Crashes {
-			remapped := *cr
-			remapped.Index = st.passFaults[cr.Index]
-			st.crashes = append(st.crashes, &remapped)
-			cfg.logf("campaign: %v", remapped.Error())
-		}
-
-		// The next pass re-attacks only the aborted faults (crashed
-		// faults are deterministic bugs; retrying would crash again).
-		var aborted []int
-		for k, idx := range st.passFaults {
-			if res.Outcomes[k] == atpg.Aborted {
-				aborted = append(aborted, idx)
-			}
-		}
-		st.passFaults = aborted
-		st.pass++
-		if st.pass <= cfg.Retries && len(aborted) > 0 && cfg.CheckpointPath != "" {
-			cfg.writeCheckpoint(fp, st)
-			lastWrite = time.Now()
-		}
-	}
-
-	res := assemble(st, false)
+// finish assembles a completed campaign and removes its checkpoint.
+func finish(cfg Config, st *state) *Result {
 	if cfg.CheckpointPath != "" {
 		if err := removeState(cfg.fs(), cfg.CheckpointPath); err != nil {
 			cfg.logf("campaign: could not remove finished checkpoint: %v", err)
 		}
 	}
-	return res, nil
+	return assemble(st, false)
+}
+
+// serialized puts Hook and Log behind one mutex: the passes of a
+// campaign overlap, and the callbacks see one call at a time. The lock
+// is held across the caller's code on purpose; that code never sees
+// the wrapped functions, so it cannot re-enter them.
+func (c Config) serialized() Config {
+	mu := new(sync.Mutex)
+	if hook := c.Hook; hook != nil {
+		c.Hook = func(i int, f fault.Fault) {
+			mu.Lock()
+			defer mu.Unlock()
+			hook(i, f)
+		}
+	}
+	if log := c.Log; log != nil {
+		c.Log = func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			log(format, args...)
+		}
+	}
+	return c
+}
+
+// ladder runs the retry passes of one campaign, overlapped: pass p+1
+// starts when pass p aborts its first fault, and reads pass p's aborts
+// in list order as pass p assigns them. That is exact without
+// speculation: a retry pass has no random phase (passConfig), so all
+// it reads from its predecessor is that list; an Aborted verdict is
+// final once assigned, because the drop pass re-tests only live
+// faults; and a pass's first drop pass and its first snapshot wait for
+// its predecessor, so they see the whole list (atpg.Engine.RunSource).
+//
+// The passes finish in order, and the caller's goroutine merges each
+// into the campaign state as it finishes. Only the lowest unfinished
+// pass writes checkpoints, in the serial format: the state it saves
+// covers the merged passes plus its own progress. An interruption or
+// an error stops the later passes, and a resume recomputes them.
+type ladder struct {
+	ctx       context.Context // cancelled when the campaign stops
+	c         *netlist.Circuit
+	faults    []fault.Fault
+	cfg       Config
+	fp        string
+	st        *state
+	every     time.Duration
+	lastWrite time.Time
+	wg        sync.WaitGroup
+	// runPass runs one pass (runEngine); tests substitute failing ones.
+	runPass func(ps *pass, from *atpg.Snapshot) (*atpg.Result, *atpg.Snapshot, error)
+}
+
+// pass is one rung of the ladder in flight.
+type pass struct {
+	p   int
+	src *atpg.FaultSource
+	mu  sync.Mutex
+	idx []int // original-list index of each source fault
+	// next is pass p+1, started at this pass's first abort.
+	next *pass
+	// lowest is closed once every earlier pass is merged: from then on
+	// the pass owns the checkpoint.
+	lowest chan struct{}
+	// done is closed when the run below has returned.
+	done     chan struct{}
+	res      *atpg.Result
+	snap     *atpg.Snapshot
+	err      error
+	panicked any
+}
+
+func newPass(p int, src *atpg.FaultSource, idx []int) *pass {
+	return &pass{p: p, src: src, idx: idx, lowest: make(chan struct{}), done: make(chan struct{})}
+}
+
+// orig maps a position in the pass's list to the original fault list.
+func (ps *pass) orig(i int) int {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return ps.idx[i]
+}
+
+func (ps *pass) add(idx int, f fault.Fault) {
+	ps.mu.Lock()
+	ps.idx = append(ps.idx, idx)
+	ps.mu.Unlock()
+	ps.src.Add(f)
+}
+
+// run drives the ladder from the campaign state's current pass to the
+// end, or to the first pass that is interrupted or fails; the later
+// passes are stopped and waited for before it returns.
+func (l *ladder) run(parent context.Context) (*Result, error) {
+	ctx, cancel := context.WithCancel(parent)
+	l.ctx = ctx
+	defer func() {
+		cancel()
+		l.wg.Wait()
+	}()
+
+	st := l.st
+	sub := make([]fault.Fault, len(st.passFaults))
+	for k, idx := range st.passFaults {
+		sub[k] = l.faults[idx]
+	}
+	cur := newPass(st.pass, atpg.Fixed(sub), st.passFaults)
+	l.logPass(cur.p, len(sub))
+	close(cur.lowest)
+	l.start(cur, st.snap)
+	for {
+		<-cur.done
+		if cur.panicked != nil {
+			panic(cur.panicked)
+		}
+		if cur.err != nil {
+			return nil, cur.err
+		}
+		if cur.res.Interrupted {
+			cancel()
+			st.snap = cur.snap
+			return finishInterrupted(parent, l.cfg, l.fp, st)
+		}
+		l.merge(cur)
+		next := cur.next
+		if next == nil {
+			return finish(l.cfg, st), nil
+		}
+		if l.cfg.CheckpointPath != "" {
+			l.cfg.writeCheckpoint(l.fp, st)
+			l.lastWrite = time.Now()
+		}
+		l.logPass(next.p, len(st.passFaults))
+		close(next.lowest)
+		cur = next
+	}
+}
+
+func (l *ladder) logPass(p, n int) {
+	l.cfg.logf("campaign: pass %d: %d faults, per-fault budget %d", p, n, l.cfg.passConfig(p).FaultBudget)
+}
+
+// start runs pass ps on its own goroutine, resuming from from when it
+// is not nil. A pass that completes closes its successor's list.
+func (l *ladder) start(ps *pass, from *atpg.Snapshot) {
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		defer close(ps.done)
+		defer func() { ps.panicked = recover() }()
+		ps.res, ps.snap, ps.err = l.runPass(ps, from)
+		if ps.err == nil && !ps.res.Interrupted && ps.next != nil {
+			ps.next.src.Close()
+		}
+	}()
+}
+
+// runEngine builds the pass's engine and runs it over the pass's list,
+// feeding each abort to the next pass below the top of the ladder.
+func (l *ladder) runEngine(ps *pass, from *atpg.Snapshot) (*atpg.Result, *atpg.Snapshot, error) {
+	e, err := atpg.New(l.c, l.cfg.passConfig(ps.p))
+	if err != nil {
+		return nil, nil, fmt.Errorf("campaign: pass %d: %w", ps.p, err)
+	}
+	e.SetFaultSimWorkers(l.cfg.fsimWorkers())
+	if hook := l.cfg.Hook; hook != nil {
+		e.TestHook = func(i int, f fault.Fault) { hook(ps.orig(i), f) }
+	}
+	var onAbort func(int)
+	if ps.p < l.cfg.Retries {
+		onAbort = func(i int) { l.feed(ps, ps.orig(i)) }
+	}
+	var onBoundary atpg.BoundaryFunc
+	if l.cfg.CheckpointPath != "" {
+		onBoundary = func(done, total int, snapshot func() *atpg.Snapshot) {
+			select {
+			case <-ps.lowest:
+			default:
+				return
+			}
+			if time.Since(l.lastWrite) < l.every {
+				return
+			}
+			if l.st.snap = snapshot(); l.cfg.writeCheckpoint(l.fp, l.st) {
+				l.cfg.logf("campaign: checkpoint at pass %d, %d/%d faults", ps.p, done, total)
+			}
+			// Advance the clock on failure too: retry at the next
+			// interval, not at every fault boundary of a full disk.
+			l.lastWrite = time.Now()
+		}
+	}
+	res, snap, err := e.RunSource(l.ctx, ps.src, from, onBoundary, onAbort)
+	if err != nil {
+		return nil, nil, fmt.Errorf("campaign: pass %d: %w", ps.p, err)
+	}
+	return res, snap, nil
+}
+
+// feed hands original fault idx, aborted by ps, to the next pass, and
+// starts that pass with its first fault.
+func (l *ladder) feed(ps *pass, idx int) {
+	if ps.next != nil {
+		ps.next.add(idx, l.faults[idx])
+		return
+	}
+	ps.next = newPass(ps.p+1, atpg.NewFaultSource(), nil)
+	ps.next.add(idx, l.faults[idx])
+	l.start(ps.next, nil)
+}
+
+// merge folds a completed pass into the campaign state; the next pass
+// attacks the faults it aborted.
+func (l *ladder) merge(ps *pass) {
+	st, res := l.st, ps.res
+	st.snap = nil
+	for k, idx := range ps.idx {
+		st.outcomes[idx] = res.Outcomes[k]
+		st.done[idx] = true
+	}
+	st.agg.Add(res.Stats.Counters)
+	for s := range res.Stats.StatesTraversed {
+		st.states[s] = true
+	}
+	st.tests = append(st.tests, res.Tests...)
+	for _, cr := range res.Crashes {
+		remapped := *cr
+		remapped.Index = ps.idx[cr.Index]
+		st.crashes = append(st.crashes, &remapped)
+		l.cfg.logf("campaign: %v", remapped.Error())
+	}
+	// Crashed faults are deterministic bugs; retrying would crash
+	// again, so only the aborted ones went on.
+	st.passFaults = nil
+	if ps.next != nil {
+		st.passFaults = ps.next.idx
+	}
+	st.pass++
 }
 
 // finishInterrupted writes the final checkpoint and assembles the
